@@ -21,25 +21,23 @@ additionally timed with a ``float32`` model (same weights, rounded once —
 see :mod:`repro.nn.precision`) against the ``float64`` engine, and a
 dedicated ``scatter_mp`` microbenchmark times the EdgePlan message-passing
 kernel step (gather → relation matmul → normalise → scatter) on a large
-synthetic graph where the scatter/gather bandwidth dominates — including
-the opt-in pure-float32 ``np.add.reduceat`` scatter schedule against the
-default bincount float64 round trip.
+synthetic graph where the scatter/gather bandwidth dominates — plus the
+same graph's relation scatters kernel against kernel: the autograd path's
+allocating flat-bincount ``scatter_rows_sum`` vs the compiled runtime's
+index-ordered ``scatter_rows_sum_into`` on caller-owned buffers.
 
 A third axis covers **fleet serving**:
 
 * ``sweep_many`` — a cold 16-region power-cap sweep: R serial
   ``predict_sweep`` calls vs. one ``predict_sweep_many`` batch (one collated
   encoder pass + one dense-head product for all R×C pairs);
-* ``serve_shards`` — the same multi-region sweep through
-  :class:`repro.serve.SweepServer` with 1 vs. 2 worker processes (shard
-  scaling tracks the machine's available cores; the JSON records
-  ``cpu_count`` so single-core containers are read correctly);
 * ``serve_fleet`` — the same multi-region sweep through a 2-node
   :class:`repro.serve.LocalFleet` (the full TCP RPC wire path: registration
   ships the weights once, each node batch-encodes its shard) against the
   in-process serial loop, measuring what the wire costs; results are
-  asserted byte-identical before timing, and ``cpu_count`` is recorded for
-  the same single-core caveat as ``serve_shards``;
+  asserted byte-identical before timing, and the JSON records
+  ``cpu_count`` because node scaling tracks the machine's available cores
+  (single-core containers measure the wire overhead floor);
 * ``serve_fleet_churn`` — the self-healing cycle on a 3-node fleet: warm
   steady-state sweeps, the failover sweep that absorbs a killed node, the
   surviving 2-node fleet, the re-admitted fleet after a restart, and one
@@ -101,6 +99,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import gc
+import hashlib
 import os
 import statistics
 import sys
@@ -123,6 +122,7 @@ from repro.core.model import ModelConfig, PnPModel, _GnnEncoder
 from repro.core.training import TrainingConfig, train_model
 from repro.core.tuner import PnPTuner
 from repro.nn import _scatter, precision
+from repro.nn._scatter import ScatterWorkspace, scatter_rows_sum, scatter_rows_sum_into
 from repro.nn.data import GraphDataLoader, build_edge_plan, collate_graphs
 from repro.nn.rgcn import RGCNConv
 from repro.nn.tensor import Tensor, no_grad
@@ -135,8 +135,6 @@ from repro.serve import (
     HashRing,
     LocalFleet,
     NodeState,
-    SweepServer,
-    shard_assignments,
 )
 
 #: The numbered perf-trajectory payload of this PR's bench run.  CI uploads
@@ -172,21 +170,21 @@ SMOKE_FLOORS = {
 #: losing its edge, e.g. a kernel change re-introducing a float64 round trip).
 F32_SMOKE_FLOORS = {"scatter_mp": 1.15}
 
-#: Preallocated-backend floor on the same microbenchmark: the out-parameter
-#: ``scatter_rows_sum_into`` kernel (rounds/reduce sub-kernels, zero
-#: allocations) against the **best** of the allocating backends at float32
-#: (measured ≈2x on an idle machine at the 200k-edge bench scale, where the
-#: per-edge bincount casts and temporaries dominate).  Guards the zero-alloc
-#: backend from regressing below the backends it exists to replace.
+#: Runtime-kernel floor on the same graph's relation scatters: the
+#: out-parameter ``scatter_rows_sum_into`` kernel (rounds/reduce
+#: sub-kernels, zero allocations) against the allocating flat-bincount
+#: kernel at float32, where bincount pays a float64 round trip per edge.
+#: Guards the compiled runtime's kernel from regressing below the one the
+#: autograd path uses.
 PREALLOC_SMOKE_FLOORS = {"scatter_mp": 1.0}
 
 #: Ceiling on the tracemalloc peak of one warm single-region ``predict``
-#: under the ``prealloc`` backend (``single_region_alloc`` axis).  The warm
+#: through the compiled program (``single_region_alloc`` axis).  The warm
 #: path's residual transient is a few hundred bytes of Python view objects
 #: per kernel step (≈5 KB total); the smallest whole-array temporary a numpy
-#: fallback path would buffer at serving scale is tens of KB (the allocating
-#: backends measure 30-130 KB here), so one reintroduced array allocation
-#: clears this ceiling by an order of magnitude.
+#: fallback path would buffer at serving scale is tens of KB, so one
+#: reintroduced array allocation clears this ceiling by an order of
+#: magnitude.
 PREALLOC_PEAK_BYTES_CEILING = 16_384
 
 #: Floor on the micro tier's speedup over the GNN *novel-region* path (one
@@ -510,67 +508,6 @@ def bench_sweep_many(
     }
 
 
-def bench_serve_shards(
-    tuner, builder, rounds: int, num_caps: int, num_regions: int
-) -> Dict[str, float]:
-    """Sharded serving: a 1-worker vs. a 2-worker SweepServer, cold caches.
-
-    Worker start-up (process spawn, graph building, weight load) happens
-    once per server and is excluded; each timed round clears the workers'
-    embedding caches so every sweep re-encodes its shard.  Shard scaling
-    tracks the machine's cores — the JSON records ``cpu_count`` so a
-    single-core container's ~1x is read as a hardware bound, not a
-    regression.
-    """
-    space = tuner.search_space
-    regions = _serving_regions(builder, num_regions)
-    caps = [
-        float(c)
-        for c in np.linspace(min(space.power_caps), max(space.power_caps), num_caps)
-    ]
-    tuner._embedding_cache.clear()
-    expected = [tuner.predict_sweep(region, caps) for region in regions]
-
-    row: Dict[str, float] = {
-        "num_regions": len(regions),
-        "num_caps": num_caps,
-        "cpu_count": float(os.cpu_count() or 1),
-    }
-    servers = {}
-    try:
-        for workers in (1, 2):
-            servers[workers] = SweepServer.from_tuner(tuner, num_workers=workers)
-            if servers[workers].sweep(regions, caps) != expected:
-                raise AssertionError(
-                    f"{workers}-worker sharded sweep disagrees with the serial path"
-                )
-
-        def run_with(workers: int) -> Callable[[], None]:
-            server = servers[workers]
-
-            def run() -> None:
-                server.clear_caches()
-                server.sweep(regions, caps)
-
-            return run
-
-        stats = _pair_stats(run_with(1), run_with(2), rounds)
-    finally:
-        for server in servers.values():
-            server.close()
-    row.update(
-        {
-            "workers1_s": stats["first_s"],
-            "workers2_s": stats["second_s"],
-            "shard_speedup": stats["first_s"] / stats["second_s"],
-            "workers1_median_s": stats["first_median_s"],
-            "workers2_median_s": stats["second_median_s"],
-            "median_shard_speedup": stats["first_median_s"] / stats["second_median_s"],
-        }
-    )
-    return row
-
-
 def bench_serve_fleet(
     tuner, builder, rounds: int, num_caps: int, num_regions: int
 ) -> Dict[str, float]:
@@ -583,10 +520,9 @@ def bench_serve_fleet(
     loop.  Node start-up and registration happen once per fleet and are
     excluded; each timed round clears every node's caches so sweeps
     re-encode their shard cold (symmetrically, the serial side clears the
-    parent's embedding cache).  Like ``serve_shards``, scaling tracks the
-    machine's cores and the JSON records ``cpu_count``: on a single-core
-    container the axis measures the RPC overhead floor, not the multi-node
-    speedup.
+    parent's embedding cache).  Scaling tracks the machine's cores and the
+    JSON records ``cpu_count``: on a single-core container the axis
+    measures the RPC overhead floor, not the multi-node speedup.
     """
     space = tuner.search_space
     regions = _serving_regions(builder, num_regions)
@@ -684,8 +620,13 @@ def bench_serve_fleet_churn(
     after = shrunk_ring.assignments(ids)
     survivor_keys = [i for i, owner in enumerate(before) if owner != 0]
     ring_keep = sum(after[i] == before[i] for i in survivor_keys)
-    flat_before = shard_assignments(ids, 3)
-    flat_after = shard_assignments(ids, 2)
+    # The flat modulo alternative: blake2s(id) % N.
+    flat_hashes = [
+        int.from_bytes(hashlib.blake2s(i.encode(), digest_size=4).digest(), "big")
+        for i in ids
+    ]
+    flat_before = [h % 3 for h in flat_hashes]
+    flat_after = [h % 2 for h in flat_hashes]
     flat_survivor_keys = [i for i, owner in enumerate(flat_before) if owner != 0]
     flat_keep = sum(
         flat_after[i] == flat_before[i] for i in flat_survivor_keys
@@ -1152,11 +1093,15 @@ def bench_inference_runtime(
             rows = np.repeat(model32.encode_pooled(batch), len(caps), axis=0)
             model32.predict_from_pooled(rows, aux)
 
-        if (
-            model32.encode_pooled(batch).tobytes()
-            != program32.encode_pooled(batch).tobytes()
-        ):
-            raise AssertionError("float32 program is not bit-identical to the Module's")
+        # At float32 the program's index-ordered scatter equals the Module
+        # run on the np.add.at reference kernels (the default Module sums
+        # float32 through bincount's float64).
+        with _scatter.reference_kernels():
+            reference32 = model32.encode_pooled(batch).tobytes()
+        if reference32 != program32.encode_pooled(batch).tobytes():
+            raise AssertionError(
+                "float32 program is not bit-identical to the Module's np.add.at run"
+            )
         batched_module32()  # warm the float32 plan + program buffers
         f32_stats = _pair_stats(batched_program32, batched_module32, rounds)
         # Named program_f32_* deliberately: this is program-vs-Module *at*
@@ -1182,6 +1127,12 @@ def bench_scatter_mp(rounds: int) -> Dict[str, float]:
     multigraph — big enough that memory bandwidth on the scatter/gather hot
     loops, not BLAS, dominates.  This is the microbenchmark the float32 mode
     exists for; --smoke fails if float32 stops beating float64 here.
+
+    The same plan's relation scatters are then timed kernel against kernel
+    at each dtype: the allocating flat-bincount ``scatter_rows_sum`` that
+    autograd runs (``*_bincount_*``) vs the compiled runtime's index-ordered
+    ``scatter_rows_sum_into`` on a caller-owned output and workspace
+    (``*_prealloc_*``); --smoke floors the float32 ratio.
     """
     rng = np.random.default_rng(0)
     num_nodes, num_edges, channels, relations, num_graphs = 40_000, 200_000, 32, 3, 64
@@ -1191,6 +1142,7 @@ def bench_scatter_mp(rounds: int) -> Dict[str, float]:
     features = rng.standard_normal((num_nodes, channels))
 
     runners: Dict[str, Callable[[], None]] = {}
+    plans = {}
     for name in ("float64", "float32"):
         with precision.autocast(name):
             layer = RGCNConv(channels, channels, relations, rng=np.random.default_rng(0))
@@ -1206,6 +1158,7 @@ def bench_scatter_mp(rounds: int) -> Dict[str, float]:
 
         run()  # warm the plan's flat scatter-bin caches before timing
         runners[name] = run
+        plans[name] = plan
 
     stats = _pair_stats(runners["float64"], runners["float32"], max(rounds, 4))
     row = {
@@ -1217,92 +1170,101 @@ def bench_scatter_mp(rounds: int) -> Dict[str, float]:
         "f32_median_speedup": stats["first_median_s"] / stats["second_median_s"],
     }
 
-    # ROADMAP's float32 scatter item: the opt-in sorted-segment reduceat
-    # schedule (pure single-precision accumulation) against the default
-    # flat-bincount float64 round trip, on the same float32 planned layer.
-    def run_reduceat() -> None:
-        with _scatter.scatter_backend("reduceat"):
-            runners["float32"]()
+    for name, short in (("float64", "f64"), ("float32", "f32")):
+        plan = plans[name]
+        scatters = []
+        for relation in range(relations):
+            dst = plan.relation_dst[relation]
+            segments = plan.scatter_segments(relation)
+            scatters.append(
+                (
+                    rng.standard_normal((dst.size, channels)).astype(name),
+                    dst,
+                    plan.scatter_flat(relation, channels),
+                    segments,
+                    np.empty((num_nodes, channels), dtype=name),
+                    ScatterWorkspace.for_rounds(segments.rounds(), channels, name),
+                )
+            )
 
-    run_reduceat()  # warm the plan's segment-schedule caches
-    reduceat_stats = _pair_stats(runners["float32"], run_reduceat, max(rounds, 4))
-    row["f32_reduceat_s"] = reduceat_stats["second_s"]
-    row["f32_reduceat_median_s"] = reduceat_stats["second_median_s"]
-    row["reduceat_speedup"] = reduceat_stats["first_s"] / reduceat_stats["second_s"]
-    row["reduceat_median_speedup"] = (
-        reduceat_stats["first_median_s"] / reduceat_stats["second_median_s"]
-    )
-    row["reduceat_default_on"] = float(_scatter.reduceat_scatter_enabled())
+        def bincount(scatters=scatters) -> None:
+            for messages, dst, flat, _segments, _out, _workspace in scatters:
+                scatter_rows_sum(messages, dst, num_nodes, flat=flat)
 
-    # Three-way comparison: the preallocated out-parameter backend
-    # (``scatter_rows_sum_into`` accumulating into caller-owned buffers via
-    # the rounds/reduce sub-kernels) against both allocating backends, at
-    # both precisions.  ``prealloc_vs_best_speedup`` is the smoke-gated
-    # number: the best allocating float32 time over the prealloc float32
-    # time, so the zero-alloc path has to beat whichever existing backend
-    # is fastest here, not just the slowest.
-    def run_prealloc32() -> None:
-        with _scatter.scatter_backend("prealloc"):
-            runners["float32"]()
+        def runtime(scatters=scatters) -> None:
+            for messages, dst, _flat, segments, out, workspace in scatters:
+                scatter_rows_sum_into(
+                    out, messages, dst, segments=segments, workspace=workspace
+                )
 
-    def run_prealloc64() -> None:
-        with _scatter.scatter_backend("prealloc"):
-            runners["float64"]()
-
-    run_prealloc32()  # warm the plan's segment schedules + flat-bin caches
-    run_prealloc64()
-    prealloc32_stats = _pair_stats(runners["float32"], run_prealloc32, max(rounds, 4))
-    prealloc64_stats = _pair_stats(runners["float64"], run_prealloc64, max(rounds, 4))
-    row["f32_prealloc_s"] = prealloc32_stats["second_s"]
-    row["f32_prealloc_median_s"] = prealloc32_stats["second_median_s"]
-    row["f64_prealloc_s"] = prealloc64_stats["second_s"]
-    row["f64_prealloc_median_s"] = prealloc64_stats["second_median_s"]
-    row["prealloc_speedup"] = prealloc32_stats["first_s"] / prealloc32_stats["second_s"]
-    row["prealloc_median_speedup"] = (
-        prealloc32_stats["first_median_s"] / prealloc32_stats["second_median_s"]
+        runtime()  # warm the schedules' memoised round plans
+        kernel_stats = _pair_stats(bincount, runtime, max(rounds, 4))
+        row[f"{short}_bincount_s"] = kernel_stats["first_s"]
+        row[f"{short}_bincount_median_s"] = kernel_stats["first_median_s"]
+        row[f"{short}_prealloc_s"] = kernel_stats["second_s"]
+        row[f"{short}_prealloc_median_s"] = kernel_stats["second_median_s"]
+    row["prealloc_vs_bincount_speedup"] = row["f32_bincount_s"] / row["f32_prealloc_s"]
+    row["prealloc_vs_bincount_median_speedup"] = (
+        row["f32_bincount_median_s"] / row["f32_prealloc_median_s"]
     )
-    row["prealloc_f64_speedup"] = (
-        prealloc64_stats["first_s"] / prealloc64_stats["second_s"]
-    )
-    best_f32 = min(row["f32_s"], row["f32_reduceat_s"])
-    best_f32_median = min(row["f32_median_s"], row["f32_reduceat_median_s"])
-    row["prealloc_vs_best_speedup"] = best_f32 / row["f32_prealloc_s"]
-    row["prealloc_vs_best_median_speedup"] = (
-        best_f32_median / row["f32_prealloc_median_s"]
-    )
-    row["prealloc_default_on"] = float(_scatter.scatter_backend_name() == "prealloc")
+    row["prealloc_f64_speedup"] = row["f64_bincount_s"] / row["f64_prealloc_s"]
     return row
+
+
+def _peak_and_retained(predict: Callable[[], None], reps: int) -> tuple:
+    """Tracemalloc peak of one warm call and numpy blocks retained over ``reps``."""
+    gc.collect()
+    tracemalloc.start()
+    predict()  # warm under tracing
+    gc.collect()
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    predict()
+    _, peak_traced = tracemalloc.get_traced_memory()
+    base = tracemalloc.take_snapshot()
+    for _ in range(reps):
+        predict()
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    domain = (tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain),)
+    stats = snapshot.filter_traces(domain).compare_to(
+        base.filter_traces(domain), "lineno"
+    )
+    return float(peak_traced - before), float(
+        sum(max(stat.count_diff, 0) for stat in stats)
+    )
 
 
 def bench_single_region_alloc(
     tuner, builder, rounds: int, with_f32: bool = True
 ) -> Dict[str, float]:
-    """Warm single-region ``predict`` under each scatter backend.
+    """Warm single-region ``predict``: compiled program vs ``Module`` forward.
 
     The serving hot path: one region, plan and arena already bound, point
-    ``predict`` calls through the compiled :class:`InferenceProgram`.  Times
-    the p50 under each of the three scatter backends and measures the
-    allocation transient of one warm call two ways:
+    ``predict`` calls through the compiled :class:`InferenceProgram` (its
+    index-ordered scatter on planned workspaces, ``prealloc_*``) against
+    the ``Module`` forward it lowers (autograd tensors and the allocating
+    bincount scatter, ``module_*``).  Times the p50 of each and measures
+    the allocation transient of one warm call two ways:
 
     * ``*_peak_bytes`` — the tracemalloc *peak* over a single warm predict
       (transient buffers are freed before any snapshot could see them, so
-      the peak is the only sound external probe).  Under ``prealloc`` the
-      arena slabs and head workspaces absorb every ndarray intermediate and
-      only a few hundred bytes of transient Python view objects remain;
-      ``--smoke`` fails if the peak reaches ``PREALLOC_PEAK_BYTES_CEILING``
-      — below the smallest whole-array temporary any numpy fallback path
-      would buffer at serving scale, so a single reintroduced allocation
-      trips it.  The allocating backends' peaks (tens of KB) are recorded
-      for contrast.
+      the peak is the only sound external probe).  The program's arena
+      slabs and head workspaces absorb every ndarray intermediate and only
+      a few hundred bytes of transient Python view objects remain;
+      ``--smoke`` fails if the program's peak reaches
+      ``PREALLOC_PEAK_BYTES_CEILING`` — below the smallest whole-array
+      temporary any numpy fallback path would buffer at serving scale, so
+      a single reintroduced allocation trips it.  The ``Module`` peaks are
+      recorded for contrast.
     * ``*_alloc_blocks`` — net numpy data-domain blocks retained across
       ``reps`` warm calls (``np.lib.tracemalloc_domain``): the leak
-      detector.  Must be zero under every backend.
+      detector.  Must be zero for the program.
     """
     space = tuner.search_space
     region = _serving_regions(builder, 1)[0]
     cap = float(min(space.power_caps))
     batch = collate_graphs([tuner.builder.inference_sample(region, power_cap=cap).sample])
-    backends = ("bincount", "reduceat", "prealloc")
     dtypes = ("float64", "float32") if with_f32 else ("float64",)
     reps = 50
     rounds = max(rounds, 4)
@@ -1310,65 +1272,39 @@ def bench_single_region_alloc(
     row: Dict[str, float] = {"num_nodes": float(batch.node_types.shape[0])}
     for dtype in dtypes:
         program = tuner.compile_inference(dtype)
+        model = tuner._model_at(dtype)
         short = "f64" if dtype == "float64" else "f32"
-        # Warm every backend's schedules and the program's arena/workspaces
-        # before timing, then round-robin the backends so load drift hits
-        # all three equally.
-        for backend in backends:
-            with _scatter.scatter_backend(backend):
-                program.predict(batch)
-        times: Dict[str, List[float]] = {backend: [] for backend in backends}
-        for _ in range(rounds):
-            for backend in backends:
-                with _scatter.scatter_backend(backend):
-                    start = time.perf_counter()
-                    for _ in range(reps):
-                        program.predict(batch)
-                    times[backend].append((time.perf_counter() - start) / reps)
-        medians = {
-            backend: statistics.median(values) for backend, values in times.items()
+        paths = {
+            "prealloc": lambda: program.predict(batch),
+            "module": lambda: model.predict(batch),
         }
-        for backend in backends:
-            row[f"{short}_{backend}_median_s"] = medians[backend]
-        row[f"{short}_prealloc_vs_best_median_speedup"] = (
-            min(medians["bincount"], medians["reduceat"]) / medians["prealloc"]
-        )
-
-        # Allocation transient (peak) and numpy data-domain leak check.
-        for backend in ("bincount", "prealloc"):
-            with _scatter.scatter_backend(backend):
-                gc.collect()
-                tracemalloc.start()
-                program.predict(batch)  # warm under tracing
-                gc.collect()
-                tracemalloc.reset_peak()
-                before, _ = tracemalloc.get_traced_memory()
-                program.predict(batch)
-                _, peak_traced = tracemalloc.get_traced_memory()
-                base = tracemalloc.take_snapshot()
+        # Warm both paths' plans, arenas and workspaces, then round-robin
+        # them so load drift hits both equally.
+        for predict in paths.values():
+            predict()
+        times: Dict[str, List[float]] = {path: [] for path in paths}
+        for _ in range(rounds):
+            for path, predict in paths.items():
+                start = time.perf_counter()
                 for _ in range(reps):
-                    program.predict(batch)
-                snapshot = tracemalloc.take_snapshot()
-                tracemalloc.stop()
-            row[f"{short}_{backend}_peak_bytes"] = float(peak_traced - before)
-            domain = (tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain),)
-            stats = snapshot.filter_traces(domain).compare_to(
-                base.filter_traces(domain), "lineno"
-            )
-            blocks = sum(max(stat.count_diff, 0) for stat in stats)
-            row[f"{short}_{backend}_alloc_blocks"] = float(blocks)
-    row["prealloc_peak_bytes"] = max(
-        row.get(f"{short}_prealloc_peak_bytes", 0.0) for short in ("f64", "f32")
-    )
-    row["bincount_peak_bytes"] = max(
-        row.get(f"{short}_bincount_peak_bytes", 0.0) for short in ("f64", "f32")
-    )
-    row["prealloc_alloc_blocks"] = sum(
-        row.get(f"{short}_prealloc_alloc_blocks", 0.0) for short in ("f64", "f32")
-    )
-    row["bincount_alloc_blocks"] = sum(
-        row.get(f"{short}_bincount_alloc_blocks", 0.0) for short in ("f64", "f32")
-    )
+                    predict()
+                times[path].append((time.perf_counter() - start) / reps)
+        medians = {path: statistics.median(values) for path, values in times.items()}
+        for path, predict in paths.items():
+            row[f"{short}_{path}_median_s"] = medians[path]
+            peak, blocks = _peak_and_retained(predict, reps)
+            row[f"{short}_{path}_peak_bytes"] = peak
+            row[f"{short}_{path}_alloc_blocks"] = blocks
+        row[f"{short}_prealloc_vs_module_median_speedup"] = (
+            medians["module"] / medians["prealloc"]
+        )
+    for path in ("prealloc", "module"):
+        row[f"{path}_peak_bytes"] = max(
+            row.get(f"{short}_{path}_peak_bytes", 0.0) for short in ("f64", "f32")
+        )
+        row[f"{path}_alloc_blocks"] = sum(
+            row.get(f"{short}_{path}_alloc_blocks", 0.0) for short in ("f64", "f32")
+        )
     return row
 
 
@@ -1503,21 +1439,19 @@ def _trajectory_payload(mode: str, results: Dict[str, Dict[str, float]]) -> Dict
             "num_caps",
             "num_nodes",
             "cpu_count",
-            "reduceat_default_on",
-            "prealloc_default_on",
-            "prealloc_vs_best_speedup",
+            "prealloc_vs_bincount_speedup",
             "prealloc_alloc_blocks",
-            "bincount_alloc_blocks",
+            "module_alloc_blocks",
             "prealloc_peak_bytes",
-            "bincount_peak_bytes",
+            "module_peak_bytes",
             "f64_prealloc_alloc_blocks",
             "f32_prealloc_alloc_blocks",
-            "f64_bincount_alloc_blocks",
-            "f32_bincount_alloc_blocks",
+            "f64_module_alloc_blocks",
+            "f32_module_alloc_blocks",
             "f64_prealloc_peak_bytes",
             "f32_prealloc_peak_bytes",
-            "f64_bincount_peak_bytes",
-            "f32_bincount_peak_bytes",
+            "f64_module_peak_bytes",
+            "f32_module_peak_bytes",
             "ring_remap_fraction",
             "flat_remap_fraction",
             "ring_keep_rate",
@@ -1607,10 +1541,6 @@ def run(smoke: bool, dtype_axis: str = "both") -> int:
     print("  single_region_alloc done")
     results["serve_micromodel"] = bench_serve_micromodel(tuner, builder, rounds)
     print("  serve_micromodel done")
-    results["serve_shards"] = bench_serve_shards(
-        tuner, builder, rounds, num_caps, serve_regions
-    )
-    print("  serve_shards done")
     results["serve_fleet"] = bench_serve_fleet(
         tuner, builder, rounds, num_caps, serve_regions
     )
@@ -1652,11 +1582,6 @@ def run(smoke: bool, dtype_axis: str = "both") -> int:
                 f"{name:<14}{row['module_s'] * 1e3:>10.1f}ms{row['program_s'] * 1e3:>10.1f}ms"
                 f"{row['speedup']:>9.2f}x"
             )
-        elif name == "serve_shards":
-            cells = (
-                f"{name:<14}{row['workers1_s'] * 1e3:>10.1f}ms{row['workers2_s'] * 1e3:>10.1f}ms"
-                f"{row['shard_speedup']:>9.2f}x"
-            )
         elif name == "serve_fleet":
             cells = (
                 f"{name:<14}{row['serial_s'] * 1e3:>10.1f}ms{row['fleet_s'] * 1e3:>10.1f}ms"
@@ -1680,32 +1605,26 @@ def run(smoke: bool, dtype_axis: str = "both") -> int:
     print()
     print(table)
     if "scatter_mp" in results:
-        reduceat = results["scatter_mp"]["reduceat_speedup"]
-        state = "on" if results["scatter_mp"]["reduceat_default_on"] else "off"
         print(
-            f"scatter_mp reduceat schedule: {reduceat:.2f}x vs bincount round trip "
-            f"(default {state})"
-        )
-        print(
-            f"scatter_mp prealloc backend: "
-            f"{results['scatter_mp']['prealloc_vs_best_speedup']:.2f}x vs best "
-            f"allocating backend at float32, "
-            f"{results['scatter_mp']['prealloc_f64_speedup']:.2f}x vs bincount at "
-            f"float64"
+            f"scatter_mp runtime kernel: "
+            f"{results['scatter_mp']['prealloc_vs_bincount_speedup']:.2f}x vs "
+            f"bincount at float32, "
+            f"{results['scatter_mp']['prealloc_f64_speedup']:.2f}x at float64"
         )
     alloc = results["single_region_alloc"]
     alloc_note = (
-        f", f32 prealloc p50 {alloc['f32_prealloc_median_s'] * 1e6:.0f}us "
-        f"({alloc['f32_prealloc_vs_best_median_speedup']:.2f}x vs best)"
+        f", f32 program p50 {alloc['f32_prealloc_median_s'] * 1e6:.0f}us "
+        f"({alloc['f32_prealloc_vs_module_median_speedup']:.2f}x vs Module)"
         if "f32_prealloc_median_s" in alloc
         else ""
     )
     print(
-        f"single_region_alloc: warm predict peak {alloc['prealloc_peak_bytes']:.0f}B "
-        f"under prealloc (vs {alloc['bincount_peak_bytes']:.0f}B under bincount), "
+        f"single_region_alloc: warm program predict peak "
+        f"{alloc['prealloc_peak_bytes']:.0f}B (vs {alloc['module_peak_bytes']:.0f}B "
+        f"through the Module), "
         f"{alloc['prealloc_alloc_blocks']:.0f} numpy data blocks retained, "
-        f"f64 prealloc p50 {alloc['f64_prealloc_median_s'] * 1e6:.0f}us "
-        f"({alloc['f64_prealloc_vs_best_median_speedup']:.2f}x vs best)"
+        f"f64 program p50 {alloc['f64_prealloc_median_s'] * 1e6:.0f}us "
+        f"({alloc['f64_prealloc_vs_module_median_speedup']:.2f}x vs Module)"
         f"{alloc_note}"
     )
     micro = results["serve_micromodel"]
@@ -1719,10 +1638,6 @@ def run(smoke: bool, dtype_axis: str = "both") -> int:
         f"{micro['micro_alloc_blocks']:.0f} numpy blocks retained, "
         f"out-of-family identical: "
         f"{'yes' if micro['out_of_family_identical'] else 'NO'}"
-    )
-    print(
-        f"serve_shards: {results['serve_shards']['shard_speedup']:.2f}x with 2 workers "
-        f"on {os.cpu_count() or 1} core(s)"
     )
     print(
         f"serve_fleet: {results['serve_fleet']['fleet_speedup']:.2f}x with 2 TCP nodes "
@@ -1799,18 +1714,18 @@ def run(smoke: bool, dtype_axis: str = "both") -> int:
                 if results[name]["f32_speedup"] < floor
             ]
             failures += [
-                f"{name}: {results[name]['prealloc_vs_best_speedup']:.2f}x < "
-                f"{floor:.2f}x (prealloc vs best allocating backend)"
+                f"{name}: {results[name]['prealloc_vs_bincount_speedup']:.2f}x < "
+                f"{floor:.2f}x (runtime scatter kernel vs bincount)"
                 for name, floor in PREALLOC_SMOKE_FLOORS.items()
-                if results[name]["prealloc_vs_best_speedup"] < floor
+                if results[name]["prealloc_vs_bincount_speedup"] < floor
             ]
         # The zero-allocation contract is deterministic, not a timing floor:
-        # a warm predict under the prealloc backend must stay under the
-        # transient-peak ceiling (one reintroduced array temporary clears it
-        # by an order of magnitude) and retain no numpy data blocks.
+        # a warm program predict must stay under the transient-peak ceiling
+        # (one reintroduced array temporary clears it by an order of
+        # magnitude) and retain no numpy data blocks.
         if results["single_region_alloc"]["prealloc_peak_bytes"] >= PREALLOC_PEAK_BYTES_CEILING:
             failures.append(
-                "single_region_alloc: warm prealloc predict peaked at "
+                "single_region_alloc: warm program predict peaked at "
                 f"{results['single_region_alloc']['prealloc_peak_bytes']:.0f} bytes "
                 f"(ceiling {PREALLOC_PEAK_BYTES_CEILING})"
             )
@@ -1818,7 +1733,7 @@ def run(smoke: bool, dtype_axis: str = "both") -> int:
             failures.append(
                 "single_region_alloc: "
                 f"{results['single_region_alloc']['prealloc_alloc_blocks']:.0f} "
-                "numpy data blocks retained on the warm prealloc predict path (want 0)"
+                "numpy data blocks retained on the warm program predict path (want 0)"
             )
         # The micro tier's contract: clearly faster than the novel-region
         # GNN path, byte-identical fallback, and allocation-free warm path.

@@ -3,19 +3,17 @@
 
 The paper's headline use-case is tuning *every* parallel region of an
 application suite.  This script trains the PnP tuner once and then answers a
-power-cap sweep for the whole 68-region suite four ways —
+power-cap sweep for the whole 68-region suite three ways —
 
 1. serially (one ``predict_sweep`` per region),
 2. batched (``predict_sweep_many``: one collated GNN pass for all cache-miss
    regions, one dense-head product for all region × cap pairs),
-3. sharded (``repro.serve.SweepServer``: regions deterministically sharded
-   over worker processes, each holding a read-only weight copy),
-4. fleet (``repro.serve.LocalFleet``: the same sweep over TCP
+3. fleet (``repro.serve.LocalFleet``: the same sweep over TCP
    ``NodeServer`` subprocesses — the full multi-node wire path, with the
    spec + ``.npz`` weight bytes shipped once at registration and each
    node batch-encoding its content-hash shard),
 
-verifies that all four agree exactly, and prints the wall-clock of each.
+verifies that all three agree exactly, and prints the wall-clock of each.
 
 It then runs the **self-healing churn drill** on the fleet: kill a node
 mid-service (the sweep rebalances onto the survivors and still matches the
@@ -41,14 +39,14 @@ every TCP node to the same two-tier stack.
 
 Every path runs the **compiled inference runtime**: the fitted weights are
 lowered once (``tuner.compile_inference()``) into a flat raw-ndarray kernel
-program — no ``Tensor`` wrappers, no autograd bookkeeping — and the server's
-workers compile their own program from the shipped ``.npz`` weights.  The
+program — no ``Tensor`` wrappers, no autograd bookkeeping — and the fleet's
+nodes compile their own program from the shipped ``.npz`` weights.  The
 script asserts the compiled program is bit-identical to the retained
 ``Module`` forward before timing anything.
 
 Run with::
 
-    python examples/fleet_serving.py [--epochs 10] [--workers 2] [--nodes 2]
+    python examples/fleet_serving.py [--epochs 10] [--nodes 2]
 """
 
 from __future__ import annotations
@@ -60,14 +58,13 @@ import time
 import numpy as np
 
 from repro.core import PnPTuner, TrainingConfig
-from repro.serve import Gateway, LocalFleet, NodeState, SweepServer
+from repro.serve import Gateway, LocalFleet, NodeState
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--system", default="haswell", choices=["haswell", "skylake"])
     parser.add_argument("--epochs", type=int, default=10)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--nodes", type=int, default=2)
     parser.add_argument("--num-caps", type=int, default=16)
     parser.add_argument("--distill-epochs", type=int, default=120)
@@ -133,14 +130,6 @@ def main() -> None:
     batched = tuner.predict_sweep_many(regions, caps)
     batched_s = time.perf_counter() - start
 
-    with SweepServer.from_tuner(tuner, num_workers=args.workers) as server:
-        sharded = server.sweep(regions, caps)  # workers encode their shards cold
-        sharded_s = None
-        server.clear_caches()
-        start = time.perf_counter()
-        sharded = server.sweep(regions, caps)
-        sharded_s = time.perf_counter() - start
-
     # The multi-node wire path: N TCP NodeServer subprocesses, spec +
     # weight bytes registered once, every sweep sharded by content hash and
     # multiplexed concurrently over the node sockets.
@@ -153,16 +142,11 @@ def main() -> None:
 
     assert serial == module_serial, "compiled runtime must match the Module path"
     assert batched == serial, "batched sweep must match the serial path"
-    assert sharded == serial, "sharded sweep must match the serial path"
     assert fleet_results == serial, "fleet sweep must match the serial path"
 
     print(f"  module  : {module_s * 1e3:7.1f} ms (Module/Tensor forward, no program)")
     print(f"  serial  : {serial_s * 1e3:7.1f} ms ({module_s / serial_s:.2f}x, compiled program)")
     print(f"  batched : {batched_s * 1e3:7.1f} ms ({serial_s / batched_s:.2f}x vs serial)")
-    print(
-        f"  sharded : {sharded_s * 1e3:7.1f} ms ({serial_s / sharded_s:.2f}x vs serial, "
-        f"{args.workers} workers)"
-    )
     print(
         f"  fleet   : {fleet_s * 1e3:7.1f} ms ({serial_s / fleet_s:.2f}x vs serial, "
         f"{args.nodes} TCP nodes)"

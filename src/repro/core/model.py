@@ -34,7 +34,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.graphs.flowgraph import EdgeRelation, NodeKind
-from repro.nn import _scatter
 from repro.nn import functional as F
 from repro.nn import precision
 from repro.nn.data import GraphBatch
@@ -124,14 +123,12 @@ class _GnnEncoder(Module):
             )
         if plan is None:
             return global_mean_pool(x, batch.batch, batch.num_graphs)
-        use_segments = _scatter.segments_active(x.data.dtype)
         return global_mean_pool(
             x,
             batch.batch,
             batch.num_graphs,
             node_counts=plan.graph_node_counts,
             flat_index=plan.pool_flat(x.shape[1]),
-            segments=plan.pool_segments() if use_segments else None,
         )
 
     def lower(self) -> List[KernelStep]:
@@ -233,7 +230,8 @@ class PnPModel(Module):
         (embedding lookup, planned RGCN message passing, mean pooling, dense
         head) sharing this model's parameter arrays by reference — no
         ``Tensor`` wrappers, no autograd graph — and is bit-identical to the
-        ``Module`` inference path at float64 and float32.  Buffers are
+        ``Module`` inference path at float64 (at float32, to the ``Module``
+        under :func:`~repro.nn._scatter.reference_kernels`).  Buffers are
         preallocated per ``(EdgePlan, dtype)`` on first use and reused
         across calls.
 

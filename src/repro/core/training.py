@@ -10,7 +10,6 @@ for a large reduction in training time.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -175,16 +174,10 @@ def train_model(
     return history
 
 
-#: Sentinel distinguishing "``program=`` not passed" from an explicit value,
-#: so only external callers of the deprecated kwarg see the warning.
-_PROGRAM_UNSET = object()
-
-
 def predict_labels(
     model: PnPModel,
     samples: Sequence[LabeledSample],
     batch_size: int = 32,
-    program=_PROGRAM_UNSET,
 ) -> np.ndarray:
     """Predicted class index for every sample (in input order).
 
@@ -193,26 +186,11 @@ def predict_labels(
     — one per (graph, auxiliary-feature) candidate — goes through the dense
     head only.  The performance scenario has one sample per (region, power
     cap), so this avoids re-encoding each region's graph once per cap.
-
-    .. deprecated:: PR 10
-        The ``program=`` parameter.  Serving callers should route through
-        the :class:`repro.serve.predictor.Predictor` protocol (or
-        :meth:`PnPTuner.predict_samples`, which manages its compiled
-        programs internally); the bespoke program plumbing here will be
-        removed.
+    Serving callers route through the :class:`repro.serve.predictor.Predictor`
+    protocol (or :meth:`PnPTuner.predict_samples`, which runs the compiled
+    inference program).
     """
-    if program is not _PROGRAM_UNSET:
-        warnings.warn(
-            "predict_labels(program=...) is deprecated; route predictions "
-            "through the repro.serve.predictor Predictor protocol (or "
-            "PnPTuner.predict_samples, which manages compiled programs "
-            "internally)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    else:
-        program = None
-    return _predict_labels(model, samples, batch_size=batch_size, program=program)
+    return _predict_labels(model, samples, batch_size=batch_size)
 
 
 def _predict_labels(
@@ -221,13 +199,13 @@ def _predict_labels(
     batch_size: int = 32,
     program=None,
 ) -> np.ndarray:
-    """Internal (non-deprecated) form of :func:`predict_labels`.
+    """:func:`predict_labels` with an optional compiled program.
 
     ``program`` optionally supplies a compiled
     :class:`~repro.nn.inference.InferenceProgram` for ``model`` (see
     ``PnPModel.compile_inference``); both stages then run through the
     autograd-free raw-ndarray runtime — bit-identical to the ``Module``
-    path.
+    path at float64.
     """
     samples = list(samples)
     if not samples:

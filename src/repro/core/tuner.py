@@ -33,8 +33,8 @@ same id misses the cache instead of serving a stale embedding.
 :meth:`PnPTuner.predict_sweep_many` extends the amortisation across
 *regions*: all cache-miss graphs of a multi-region sweep are collated into
 one batch, encoded by a single GNN pass, and every (region, cap) pair is
-scored through one dense-head product — the batched layer under
-:class:`repro.serve.SweepServer`'s process-sharded fleet serving.
+scored through one dense-head product — the batched layer every fleet
+node (:mod:`repro.serve`) serves its share through.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class PnPTuner:
 
     #: Route every inference entry point through compiled
     #: :class:`~repro.nn.inference.InferenceProgram`\ s (autograd-free
-    #: raw-ndarray kernels, bit-identical to the ``Module`` path).  Disable
+    #: raw-ndarray kernels, bit-identical to the ``Module`` path at float64).  Disable
     #: to fall back to the ``Module`` forward — retained as the reference
     #: the benchmarks compare against.
     use_inference_programs = True
@@ -277,8 +277,8 @@ class PnPTuner:
         Returns the same cached :class:`~repro.nn.inference.InferenceProgram`
         the tuner's ``predict`` / ``predict_sweep`` / ``predict_sweep_many``
         entry points execute, compiling it eagerly — serving replicas (e.g.
-        :class:`repro.serve.SweepServer` workers) call this at start-up so
-        the first query pays no lowering cost.
+        :class:`repro.serve.NodeServer` registrations) call this at start-up
+        so the first query pays no lowering cost.
         """
         self._require_fitted()
         program = self._program_for(self._model_at(dtype), force=True)
@@ -537,9 +537,7 @@ class PnPTuner:
         """Batch prediction for pre-built samples (used by the experiments).
 
         Shares the compiled inference runtime with the serving entry points,
-        so experiment sweeps pay no autograd overhead either.  (The public
-        ``predict_labels(program=...)`` plumbing this used to ride on is
-        deprecated — serving routes through :mod:`repro.serve.predictor`.)
+        so experiment sweeps pay no autograd overhead either.
         """
         self._require_fitted()
         labels = _predict_labels(

@@ -1,8 +1,9 @@
 """Shared plumbing for the experiment runners.
 
-Heavy loops can be sharded across worker processes via :mod:`repro.serve`:
-cross-validation folds (``pnp_cross_validated_selections(num_workers=...)``)
-and per-figure region sweep loops (:func:`sharded_performance_selections`).
+Heavy loops can be sharded via :mod:`repro.serve`: cross-validation folds
+across worker processes (``pnp_cross_validated_selections(num_workers=...)``)
+and per-figure region sweep loops across fleet nodes
+(:func:`sharded_performance_selections`).
 Both paths are deterministic and produce results identical to their serial
 counterparts — sharding is purely a wall-clock decision.
 """
@@ -30,7 +31,7 @@ from repro.core.tuner import (
 from repro.experiments.profiles import ExperimentProfile
 from repro.openmp.config import OpenMPConfig
 from repro.openmp.region import RegionCharacteristics
-from repro.serve import FleetClient, LocalFleet, SweepServer, parallel_map
+from repro.serve import FleetClient, LocalFleet, parallel_map
 from repro.tuners.base import BaselineTuner
 from repro.utils.logging import get_logger
 
@@ -155,33 +156,26 @@ def sharded_performance_selections(
     regions: Sequence[RegionCharacteristics],
     power_caps: Sequence[float],
     num_workers: int = 2,
-    server: Optional[SweepServer] = None,
     fleet: Optional[Union[FleetClient, LocalFleet]] = None,
 ) -> Dict[Tuple[str, float], OpenMPConfig]:
-    """Per-figure region × cap loop served by a sharded worker pool.
+    """Per-figure region × cap loop served by a sharded TCP fleet.
 
-    The fitted tuner's weights are serialized once; regions are sharded
-    across ``num_workers`` processes and each shard is batch-encoded by
-    :meth:`~repro.core.tuner.PnPTuner.predict_sweep_many`.  The returned
+    Without ``fleet``, a :class:`~repro.serve.LocalFleet` of ``num_workers``
+    nodes is started for the call (the fitted tuner's weights ship once at
+    registration) and closed afterwards; regions are sharded across the
+    nodes and each node's share is batch-encoded by
+    :meth:`~repro.core.tuner.PnPTuner.predict_sweep_many`.  Pass a
+    ``fleet`` (a :class:`~repro.serve.FleetClient` with the tuner already
+    registered, or a :class:`~repro.serve.LocalFleet`) to reuse warm nodes
+    across several calls; it is left open.  The returned
     ``{(region_id, cap): config}`` selections are identical to looping
-    ``tuner.predict_sweep`` serially.  Pass an existing ``server`` to reuse
-    a warm pool across several calls (it is then left open), or a ``fleet``
-    (a :class:`~repro.serve.FleetClient` with the tuner already registered,
-    or a :class:`~repro.serve.LocalFleet`) to route the sweep over TCP
-    nodes instead of local worker processes — also left open, and still
-    byte-identical to the serial loop.
+    ``tuner.predict_sweep`` serially.
     """
     if fleet is not None:
         swept = fleet.sweep(regions, power_caps)
     else:
-        owned = server is None
-        if server is None:
-            server = SweepServer.from_tuner(tuner, num_workers=num_workers)
-        try:
-            swept = server.sweep(regions, power_caps)
-        finally:
-            if owned:
-                server.close()
+        with LocalFleet(tuner, num_nodes=num_workers) as owned:
+            swept = owned.sweep(regions, power_caps)
     selections: Dict[Tuple[str, float], OpenMPConfig] = {}
     for region, results in zip(regions, swept):
         for result in results:

@@ -31,16 +31,16 @@ plan; ``GraphDataLoader(cache_collate=False)``).
 Serving additionally has an autograd-free compiled runtime:
 :mod:`repro.nn.inference` lowers a model into an :class:`InferenceProgram`
 — a flat list of raw-ndarray kernel steps with buffers preallocated per
-``(EdgePlan, dtype)``, no ``Tensor`` wrappers and no graph recording —
-bit-identical to the ``Module`` forward at either precision.
+``(EdgePlan, dtype)``, no ``Tensor`` wrappers and no graph recording.
 
-The scatter kernels behind message passing have **one** canonical knob
-surface, exported here: :func:`set_scatter_backend` (process-wide,
-``SCATTER_BACKENDS`` or ``"auto"``), the :func:`scatter_backend` scope and
-:func:`scatter_backend_name`.  The legacy two-way
-:func:`set_reduceat_scatter` / :func:`reduceat_scatter` toggle from PR 3 is
-a deprecated alias (it emits :class:`DeprecationWarning` and maps ``True``
-→ ``"reduceat"``, ``False`` → ``"bincount"``).
+Message passing sums each relation's messages into their destination nodes
+with one of two scatter kernels, chosen by who owns the output buffer
+(:mod:`repro.nn._scatter`): autograd (training and the ``Module`` forward)
+uses the allocating flat-bincount kernel, and the compiled runtime always
+accumulates in index order into its planned arena buffers, allocation-free.
+At float64 the program is bit-identical to the ``Module`` forward; at both
+dtypes it is bit-identical to the ``np.add.at`` reference
+(:func:`~repro.nn._scatter.reference_kernels`).
 """
 
 from repro.nn import precision
@@ -77,14 +77,6 @@ from repro.nn.data import (
 )
 from repro.nn.serialization import save_state_dict, load_state_dict
 from repro.nn.inference import InferenceProgram
-from repro.nn._scatter import (
-    SCATTER_BACKENDS,
-    scatter_backend,
-    scatter_backend_name,
-    set_scatter_backend,
-    reduceat_scatter,  # deprecated alias (DeprecationWarning on use)
-    set_reduceat_scatter,  # deprecated alias (DeprecationWarning on use)
-)
 
 __all__ = [
     "Tensor",
@@ -123,10 +115,4 @@ __all__ = [
     "save_state_dict",
     "load_state_dict",
     "InferenceProgram",
-    "SCATTER_BACKENDS",
-    "scatter_backend",
-    "scatter_backend_name",
-    "set_scatter_backend",
-    "reduceat_scatter",
-    "set_reduceat_scatter",
 ]

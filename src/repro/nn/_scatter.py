@@ -2,62 +2,43 @@
 
 ``np.add.at`` is the natural NumPy spelling of "sum rows into buckets" but its
 unbuffered fancy-indexing loop is several times slower than the vectorised
-schedules below.  Three interchangeable backends ship, selected process-wide
-with :func:`set_scatter_backend` (or scoped with :func:`scatter_backend`):
+schedules below.  Two kernels ship, one per owner of the output buffer:
 
-``"bincount"`` (default)
+:func:`scatter_rows_sum` (flat bincount, allocating)
     One flat ``np.bincount`` over (bucket, channel) bins.  ``data.ravel()``
     walks rows in index order and channels in order within a row, so
     duplicates of any bin accumulate in exactly ``np.add.at``'s order — the
     ``float64`` results are **bit-identical** to the seed kernels.
     ``float32`` data is accumulated through bincount's internal ``float64``
-    and cast back once.  Allocates its output (and, for ``float32``, a
-    weights cast) on every call.
+    and cast back once.  Allocates its output on every call; autograd uses
+    it (``Tensor.scatter_sum`` and the backward of ``Tensor.gather_rows``),
+    so training and the ``Module`` forward run on it.
 
-``"reduceat"``
-    The PR-3 pure single-precision schedule: a :class:`SegmentSchedule`
-    (stable sort of the destination indices + segment boundaries) lets
-    ``np.add.reduceat`` sum every bucket natively in ``float32`` — no
-    ``float64`` round trip.  ``np.add.reduceat`` reduces each segment in a
-    pairwise (not index) order, so this backend is *within tolerance* of the
-    others at ``float32`` and is never applied to ``float64`` data, which
-    silently keeps the bit-identical bincount path.
-
-``"prealloc"``
-    The allocation-free backend: :func:`scatter_rows_sum_into` accumulates
-    into a **caller-owned** output buffer through a :class:`RoundSchedule` —
-    segments sorted by descending length, one rounds-ordered gather, then
-    one contiguous ``np.add`` slice per round, and a strided copy-out into
-    ``out``.  Round ``r`` adds the ``(r+1)``-th element of every still-live
-    segment, so each bucket accumulates strictly in original index order:
-    **bit-identical to ``np.add.at`` (and bincount) at float64**, and at
-    ``float32`` it matches native single-precision sequential accumulation
-    (within tolerance of bincount's double round trip).  Degenerate indices
-    (one bucket receiving more than ``_ROUNDS_CAP`` rows) fall back to a
-    zeroed ``np.add.at`` — still allocation-free, still bit-identical.
-    With a :class:`ScatterWorkspace` supplied, the kernel performs **zero**
-    array allocations; the compiled inference runtime
-    (:mod:`repro.nn.inference`) plans those workspaces into its arena.
-
-``set_scatter_backend("auto")`` runs a one-shot cached microcalibration of
-all three backends on a message-passing-shaped workload and adopts whichever
-wins on the running build, so no build's answer needs hardcoding.  The older
-two-way API (:func:`set_reduceat_scatter`, :func:`reduceat_scatter`,
-``set_reduceat_scatter("auto")``) is kept and maps onto the backend switch.
+:func:`scatter_rows_sum_into` (index-ordered rounds, caller-owned output)
+    Accumulates into a **caller-owned** buffer through a
+    :class:`RoundSchedule` — segments sorted by descending length, one
+    rounds-ordered gather, then one contiguous ``np.add`` slice per round,
+    and a strided copy-out into ``out``.  Round ``r`` adds the ``(r+1)``-th
+    element of every still-live segment, so each bucket accumulates
+    strictly in original index order: **bit-identical to ``np.add.at`` at
+    float64 and float32** (hence to bincount at float64).  Degenerate
+    indices (one bucket receiving more than ``_ROUNDS_CAP`` rows) take a
+    per-segment ordered reduce instead.  With a :class:`ScatterWorkspace`
+    supplied, the kernel performs **zero** array allocations; the compiled
+    inference runtime (:mod:`repro.nn.inference`) always runs it on
+    workspaces planned into its arena.
 
 ``reference_kernels()`` switches the module back to the ``np.add.at`` path;
 ``benchmarks/bench_engine.py`` uses it to time the seed implementation
 without keeping a second copy of the code (and its ``scatter_mp`` axis
-times all three backends against each other).
+times the two kernels against each other).
 """
 
 from __future__ import annotations
 
 import contextlib
-import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -73,40 +54,14 @@ __all__ = [
     "build_round_schedule",
     "reference_kernels",
     "fast_kernels_enabled",
-    "scatter_backend",
-    "set_scatter_backend",
-    "scatter_backend_name",
-    "segments_active",
-    "reduceat_scatter",
-    "set_reduceat_scatter",
-    "reduceat_scatter_enabled",
 ]
 
 _USE_FAST = True
 
-#: The registered scatter backends (see the module docstring).
-SCATTER_BACKENDS = ("bincount", "reduceat", "prealloc")
-
-#: Active backend.  Default ``"bincount"``: profiled on this NumPy/OpenBLAS
-#: build (``bench_engine``'s ``scatter_mp`` axis), the fused one-pass double
-#: accumulation is the strongest allocating schedule at small/medium sizes,
-#: and it is the seed-history bit-exact reference.  ``"prealloc"`` wins once
-#: callers own the buffers (the compiled runtime) or at large float32 sizes;
-#: ``set_scatter_backend("auto")`` measures and picks per build.
-_BACKEND = "bincount"
-
-#: Cached verdict of the one-shot three-way microcalibration
-#: (``set_scatter_backend("auto")``): ``None`` until first measured.
-_AUTO_BACKEND: Optional[str] = None
-
-#: Cached verdict of the legacy two-way reduceat-vs-bincount calibration
-#: (``set_reduceat_scatter("auto")``): ``None`` until first measured.
-_AUTO_REDUCEAT: Optional[bool] = None
-
 #: Above this many rounds (= max rows landing in one bucket) the rounds
-#: kernel's per-round dispatch overhead loses to ``np.add.at``;
-#: :func:`scatter_rows_sum_into` falls back (still allocation-free and
-#: bit-identical, just slower).
+#: kernel's per-round dispatch overhead dominates;
+#: :func:`scatter_rows_sum_into` takes its per-segment ordered reduce
+#: instead (still allocation-free and bit-identical).
 _ROUNDS_CAP = 4096
 
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
@@ -126,122 +81,6 @@ def reference_kernels() -> Iterator[None]:
 
 def fast_kernels_enabled() -> bool:
     return _USE_FAST
-
-
-# --------------------------------------------------------------------------
-# Backend selection
-# --------------------------------------------------------------------------
-def set_scatter_backend(backend: str) -> str:
-    """Select the process-wide scatter backend; returns the previous name.
-
-    ``backend`` is one of ``SCATTER_BACKENDS`` or ``"auto"``, which runs the
-    one-shot cached three-way microcalibration (:func:`_calibrate_backend`)
-    and adopts the winner on *this* NumPy build.  ``float64`` data keeps
-    bit-identical results under every backend (``"reduceat"`` simply does
-    not apply to it); ``float32`` results differ across backends within
-    accumulation-order tolerance.
-    """
-    global _BACKEND
-    previous = _BACKEND
-    if backend == "auto":
-        backend = _calibrate_backend()
-    if backend not in SCATTER_BACKENDS:
-        raise ValueError(
-            f"set_scatter_backend accepts {SCATTER_BACKENDS} or 'auto', "
-            f"got {backend!r}"
-        )
-    _BACKEND = backend
-    return previous
-
-
-def scatter_backend_name() -> str:
-    """The currently active scatter backend name."""
-    return _BACKEND
-
-
-@contextlib.contextmanager
-def scatter_backend(backend: str) -> Iterator[None]:
-    """Scope the scatter backend (``SCATTER_BACKENDS`` or ``"auto"``)."""
-    previous = set_scatter_backend(backend)
-    try:
-        yield
-    finally:
-        set_scatter_backend(previous)
-
-
-def segments_active(dtype) -> bool:
-    """Whether callers should pass sorted-segment schedules for ``dtype``.
-
-    True under ``"prealloc"`` for either float dtype (the rounds kernel is
-    bit-identical at float64) and under ``"reduceat"`` for ``float32`` only
-    (its pairwise segment sums would break float64 bit-identity).
-    """
-    if _BACKEND == "prealloc":
-        return np.dtype(dtype) in _FLOAT_DTYPES
-    return _BACKEND == "reduceat" and np.dtype(dtype) == np.float32
-
-
-def _warn_reduceat_deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated; use set_scatter_backend / scatter_backend / "
-        "scatter_backend_name (exported from repro.nn) — the two-way reduceat "
-        "toggle collapsed onto the three-way backend switch in PR 9",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-@contextlib.contextmanager
-def reduceat_scatter(enabled: bool = True) -> Iterator[None]:
-    """Scope the float32 sorted-segment reduceat scatter path on or off.
-
-    .. deprecated:: PR 10
-        Legacy two-way switch kept from PR 3; use
-        ``scatter_backend("reduceat")`` / ``scatter_backend("bincount")``.
-        ``True`` selects the ``"reduceat"`` backend, ``False`` the
-        ``"bincount"`` backend; the previously active backend (whichever of
-        the three) is restored on exit.
-    """
-    _warn_reduceat_deprecated("reduceat_scatter")
-    previous = set_scatter_backend("reduceat" if enabled else "bincount")
-    try:
-        yield
-    finally:
-        set_scatter_backend(previous)
-
-
-def set_reduceat_scatter(enabled: Union[bool, str]) -> bool:
-    """Process-wide toggle for the reduceat path; returns the previous value.
-
-    .. deprecated:: PR 10
-        Use :func:`set_scatter_backend` — this API predates the three-way
-        backend switch and collapses onto it (the returned "previous value"
-        is whether the ``"reduceat"`` backend was active).
-
-    ``enabled`` may be the string ``"auto"``: the schedule choice is then
-    measured once per process (:func:`_calibrate_reduceat`, cached) and the
-    winner on *this* NumPy build becomes the default — bincount keeps the
-    float64 accuracy edge either way, since float64 data never takes the
-    reduceat path.
-    """
-    _warn_reduceat_deprecated("set_reduceat_scatter")
-    if isinstance(enabled, str):
-        if enabled != "auto":
-            raise ValueError(
-                f"set_reduceat_scatter accepts True, False or 'auto', got {enabled!r}"
-            )
-        enabled = _calibrate_reduceat()
-    previous = set_scatter_backend("reduceat" if enabled else "bincount")
-    return previous == "reduceat"
-
-
-def reduceat_scatter_enabled() -> bool:
-    """Whether the ``"reduceat"`` backend is active.
-
-    .. deprecated:: PR 10
-        Use ``scatter_backend_name() == "reduceat"``.
-    """
-    return _BACKEND == "reduceat"
 
 
 # --------------------------------------------------------------------------
@@ -304,19 +143,15 @@ class RoundSchedule:
 
 @dataclass(frozen=True)
 class SegmentSchedule:
-    """Sorted-segment schedule for a pure single-precision scatter.
+    """Sorted-segment schedule of a scatter index array.
 
     ``perm`` is the *stable* argsort of the scatter index array, ``starts``
     the first permuted position of each occupied bucket and ``buckets`` the
-    bucket id of each segment.  ``np.add.reduceat(data[perm], starts)`` then
-    sums every bucket natively in the data dtype; stability means rows of a
-    bucket are accumulated in their original index order, though
-    ``np.add.reduceat`` itself reassociates each segment's partial sums
-    (pairwise), which is why the reduceat backend is float32-only.  The
-    strictly index-ordered :class:`RoundSchedule` derived by
-    :meth:`rounds` (memoised here, so every
+    bucket id of each segment; stability keeps each bucket's rows in their
+    original index order.  The round-major :class:`RoundSchedule` derived
+    by :meth:`rounds` (memoised here, so every
     :class:`~repro.nn.data.EdgePlan` relation builds it at most once) is
-    what the bit-identical ``"prealloc"`` backend consumes.
+    what :func:`scatter_rows_sum_into` consumes.
     """
 
     perm: np.ndarray
@@ -383,7 +218,7 @@ def build_round_schedule(segments: SegmentSchedule) -> RoundSchedule:
 
 
 class ScatterWorkspace:
-    """Caller-owned scratch for the allocation-free ``"prealloc"`` backend.
+    """Caller-owned scratch for the allocation-free :func:`scatter_rows_sum_into`.
 
     ``gathered`` holds the schedule-ordered gather of the input rows plus
     one trailing pad row (``(num_rows + 1) × channels``).  The rounds
@@ -436,8 +271,8 @@ def scatter_rows_sum_into(
 ) -> np.ndarray:
     """``out[j] = sum_{i : index[i] == j} data[i]`` into a caller-owned buffer.
 
-    The ``"prealloc"`` backend kernel: ``out`` (shape ``(dim_size,
-    channels)``, ``data``'s dtype) is overwritten, never allocated.  With a
+    The compiled runtime's kernel: ``out`` (shape ``(dim_size, channels)``,
+    ``data``'s dtype) is overwritten, never allocated.  With a
     ``segments`` schedule it picks, per call, whichever of two strictly
     index-ordered sub-kernels has the shorter Python loop:
 
@@ -515,26 +350,17 @@ def scatter_rows_sum(
     index: np.ndarray,
     dim_size: int,
     flat: Optional[np.ndarray] = None,
-    segments: Optional[SegmentSchedule] = None,
 ) -> np.ndarray:
     """``out[j] = sum_{i : index[i] == j} data[i]`` for 2-D float ``data``.
 
     Falls back to ``np.add.at`` for non-2-D inputs (and under
-    :func:`reference_kernels`); otherwise dispatches on the active backend
-    (see the module docstring).  The default flat-bincount path runs one
-    ``np.bincount`` over (bucket, channel) bins: ``data.ravel()`` walks rows
-    in index order and channels in order within a row, so duplicates of any
-    bin accumulate in exactly ``np.add.at``'s order — the ``float64``
-    results are bit-identical.  The output always carries ``data``'s dtype.
-
-    A precomputed ``segments`` schedule additionally enables the
-    ``"reduceat"`` backend for ``float32`` data (pure single-precision
-    ``np.add.reduceat``, no float64 round trip, pairwise-order tolerance)
-    and the ``"prealloc"`` backend for either dtype (the index-ordered
-    rounds kernel of :func:`scatter_rows_sum_into`, bit-identical at
-    float64).  ``float64`` data under ``"bincount"``/``"reduceat"`` ignores
-    ``segments`` so the default precision stays bit-identical to the seed
-    kernels.
+    :func:`reference_kernels`); otherwise runs one ``np.bincount`` over
+    (bucket, channel) bins: ``data.ravel()`` walks rows in index order and
+    channels in order within a row, so duplicates of any bin accumulate in
+    exactly ``np.add.at``'s order — the ``float64`` results are
+    bit-identical.  ``flat`` optionally passes the precomputed bins (see
+    :func:`flat_scatter_index`).  The output always carries ``data``'s
+    dtype.
     """
     if not _USE_FAST or data.ndim != 2 or data.dtype not in _FLOAT_DTYPES:
         out_dtype = data.dtype if data.dtype in _FLOAT_DTYPES else np.float64
@@ -544,20 +370,6 @@ def scatter_rows_sum(
     channels = data.shape[1]
     if channels == 0 or index.size == 0:
         return np.zeros((dim_size, channels), dtype=data.dtype)
-    if _BACKEND == "prealloc" and segments is not None and segments.starts.size:
-        out = np.empty((dim_size, channels), dtype=data.dtype)
-        return scatter_rows_sum_into(out, data, index, segments=segments)
-    if (
-        _BACKEND == "reduceat"
-        and segments is not None
-        and data.dtype == np.float32
-        and segments.starts.size
-    ):
-        out = np.zeros((dim_size, channels), dtype=np.float32)
-        out[segments.buckets] = np.add.reduceat(
-            data[segments.perm], segments.starts, axis=0
-        )
-        return out
     if flat is None:
         flat = flat_scatter_index(index, channels)
     summed = np.bincount(flat, weights=data.ravel(), minlength=dim_size * channels)
@@ -578,88 +390,3 @@ def count_index(
         np.add.at(counts, index, 1.0)
         return counts
     return np.bincount(index, minlength=dim_size).astype(dtype)
-
-
-# --------------------------------------------------------------------------
-# Calibration
-# --------------------------------------------------------------------------
-def _calibration_workload(num_rows: int, num_buckets: int, channels: int):
-    rng = np.random.default_rng(0)
-    index = rng.integers(0, num_buckets, size=num_rows)
-    data = rng.standard_normal((num_rows, channels)).astype(np.float32)
-    flat = flat_scatter_index(index, channels)
-    segments = build_segment_schedule(index)
-    return index, data, flat, segments
-
-
-def _time_backends(
-    backends,
-    num_rows: int = 80_000,
-    num_buckets: int = 16_000,
-    channels: int = 32,
-    repeats: int = 3,
-):
-    """Best-of-``repeats`` seconds per backend on the synthetic workload.
-
-    Times the *shipped* :func:`scatter_rows_sum` under each backend (not
-    inline copies of its branches), so calibration cannot drift from the
-    code it chooses between.  The workload is shaped like the
-    message-passing hot loop: many rows, moderate channel count, ~5 rows
-    per bucket, ``float32`` (the serving precision where the backends
-    genuinely diverge — at ``float64`` all selectable paths are
-    bit-identical anyway).
-    """
-    index, data, flat, segments = _calibration_workload(
-        num_rows, num_buckets, channels
-    )
-
-    def run(name: str) -> np.ndarray:
-        with scatter_backend(name):
-            return scatter_rows_sum(
-                data, index, num_buckets, flat=flat, segments=segments
-            )
-
-    best = {}
-    for name in backends:
-        run(name)  # warm allocator/schedule caches before timing
-        best[name] = float("inf")
-    for _ in range(repeats):
-        for name in backends:
-            start = time.perf_counter()
-            run(name)
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
-
-
-def _calibrate_backend() -> str:
-    """One-shot three-way microcalibration: which backend wins *here*?
-
-    Best-of-repeats over the shipped kernel under each backend; the verdict
-    is cached for the process (ROADMAP: "flip the default where it wins"
-    without hardcoding any particular build's answer).
-    """
-    global _AUTO_BACKEND
-    if _AUTO_BACKEND is None:
-        best = _time_backends(SCATTER_BACKENDS)
-        _AUTO_BACKEND = min(best, key=best.get)
-    return _AUTO_BACKEND
-
-
-def _calibrate_reduceat(
-    num_rows: int = 80_000,
-    num_buckets: int = 16_000,
-    channels: int = 32,
-    repeats: int = 3,
-) -> bool:
-    """Legacy two-way microcalibration: does reduceat beat bincount *here*?
-
-    Kept for ``set_reduceat_scatter("auto")`` compatibility; the three-way
-    :func:`_calibrate_backend` supersedes it.  Cached per process.
-    """
-    global _AUTO_REDUCEAT
-    if _AUTO_REDUCEAT is None:
-        best = _time_backends(
-            ("bincount", "reduceat"), num_rows, num_buckets, channels, repeats
-        )
-        _AUTO_REDUCEAT = best["reduceat"] < best["bincount"]
-    return _AUTO_REDUCEAT

@@ -192,10 +192,6 @@ class EdgePlan:
         """Memoised sorted-segment schedule of the relation's dst scatter."""
         return self._segments("dst", relation, lambda: self.relation_dst[relation])
 
-    def gather_segments(self, relation: int) -> SegmentSchedule:
-        """Memoised schedule of the relation's src gather backward-scatter."""
-        return self._segments("src", relation, lambda: self.relation_src[relation])
-
     def pool_segments(self) -> SegmentSchedule:
         """Memoised schedule of the per-graph pooling scatter."""
         return self._segments("pool", 0, lambda: self.batch_vector)

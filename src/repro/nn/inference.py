@@ -18,17 +18,21 @@ planned RGCN message passing through the existing
   then disjoint-lifetime buffers share reusable slabs (the per-plan
   :class:`Arena` is held in a :class:`weakref.WeakKeyDictionary`, so
   buffers die with their plan),
-* performs **zero NumPy array allocations** on the warm path under the
-  ``"prealloc"`` scatter backend — every kernel runs in its out-parameter
-  form (gathers, matmuls, normalisation, the rounds scatter of
+* performs **zero NumPy array allocations** on the warm path — every
+  kernel runs in its out-parameter form (gathers, matmuls, normalisation,
+  the index-ordered scatter of
   :func:`~repro.nn._scatter.scatter_rows_sum_into`, masked in-place
   activations, the dense head product, even the final ``argmax``) into
   arena views or per-row-count head workspaces, and
-* is **bit-identical** to the ``Module`` forward at float64 *and* float32
-  under every scatter backend: every step performs exactly the same
-  floating-point operations in the same order as the tensor op it replaces
-  (in-place/``out=`` variants are used only where NumPy guarantees the
-  identical result).
+* is **bit-identical** to the ``Module`` forward at float64, and at both
+  dtypes to the ``Module`` run under
+  :func:`~repro.nn._scatter.reference_kernels`: every step performs the
+  same floating-point operations in the same order as the tensor op it
+  replaces (in-place/``out=`` variants are used only where NumPy
+  guarantees the identical result), and its scatters accumulate in index
+  order like ``np.add.at``.  (The ``Module``'s bincount scatter sums
+  float32 data through float64, so float32 programs differ from the
+  default ``Module`` in the last bits.)
 
 Lowering is owned by the modules themselves — :meth:`Embedding.lower`,
 :meth:`Linear.lower`, :meth:`RGCNConv.lower`,
@@ -53,9 +57,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn import _scatter
 from repro.nn import functional as F
-from repro.nn._scatter import ScatterWorkspace, scatter_rows_sum, scatter_rows_sum_into
+from repro.nn._scatter import ScatterWorkspace, scatter_rows_sum_into
 from repro.nn.data import EdgePlan, GraphBatch
 
 __all__ = [
@@ -318,13 +321,11 @@ class RGCNStep(KernelStep):
 
     Mirrors ``RGCNConv._forward_planned`` exactly: root transform, then per
     relation gather → matmul → normalise → scatter, accumulated in relation
-    order (the ``Tensor.add_n`` order), then the bias — with the matmuls and
-    the normalisation running in place on preallocated buffers.  Under the
-    ``"prealloc"`` backend the scatter also lands in an arena buffer
+    order (the ``Tensor.add_n`` order), then the bias — with the matmuls,
+    the normalisation and the scatter
     (:func:`~repro.nn._scatter.scatter_rows_sum_into` with a planned
-    workspace), making the whole step allocation-free; the accumulation
-    ``out += scattered`` is the same dense add in every backend, so the
-    float64 bits never depend on the backend choice.
+    workspace) running on arena buffers, so the whole step is
+    allocation-free.
     """
 
     def __init__(
@@ -374,8 +375,6 @@ class RGCNStep(KernelStep):
             if self.bias is not None
             else None
         )
-        is_f32 = dtype == np.float32
-
         # Note the thunk captures the plan's *arrays and schedules*, never
         # the plan object itself: bound thunks live in a WeakKeyDictionary
         # keyed by the plan, and a strong reference from value to key would
@@ -417,7 +416,6 @@ class RGCNStep(KernelStep):
                     self.weight[relation],
                     _buffer(buffers, ("gather", relation, in_ch), (src.size, in_ch), dtype),
                     _buffer(buffers, ("msg", relation, out_ch), (src.size, out_ch), dtype),
-                    plan.scatter_flat(relation, out_ch),
                     segments,
                     workspace,
                 )
@@ -425,29 +423,16 @@ class RGCNStep(KernelStep):
 
         def run() -> None:
             np.matmul(x, root, out=out)
-            backend = _scatter.scatter_backend_name()
-            prealloc = backend == "prealloc"
-            use_segments = is_f32 and backend == "reduceat"
-            for src, dst, norm, w, gathered, messages, flat, segments, ws in relations:
+            for src, dst, norm, w, gathered, messages, segments, ws in relations:
                 # clip mode: no bounds pre-pass, no buffered temporary
                 # (src indices come from the validated EdgePlan).
                 np.take(x, src, axis=0, out=gathered, mode="clip")
                 np.matmul(gathered, w, out=messages)
                 np.multiply(messages, norm, out=messages)
-                if prealloc:
-                    scatter_rows_sum_into(
-                        scattered, messages, dst, segments=segments, workspace=ws
-                    )
-                    np.add(out, scattered, out=out)
-                else:
-                    fresh = scatter_rows_sum(
-                        messages,
-                        dst,
-                        num_nodes,
-                        flat=flat,
-                        segments=segments if use_segments else None,
-                    )
-                    np.add(out, fresh, out=out)
+                scatter_rows_sum_into(
+                    scattered, messages, dst, segments=segments, workspace=ws
+                )
+                np.add(out, scattered, out=out)
             if bias is not None:
                 np.add(out, bias, out=out)
 
@@ -485,9 +470,8 @@ class MeanPoolStep(KernelStep):
 
     The reciprocal node counts are precomputed per plan at bind time
     (``(1 / max(counts, 1))`` in the feature dtype — exactly the column
-    :func:`repro.nn.pooling.global_mean_pool` rebuilds per forward).  Under
-    the ``"prealloc"`` backend the per-graph sums land in a planned arena
-    buffer instead of a fresh allocation.
+    :func:`repro.nn.pooling.global_mean_pool` rebuilds per forward), and
+    the per-graph sums land in a planned arena buffer.
     """
 
     def __init__(self, in_slot: str, out_slot: str = POOLED_SLOT) -> None:
@@ -510,9 +494,7 @@ class MeanPoolStep(KernelStep):
                 (num_graphs, channels),
             )
         )
-        flat = plan.pool_flat(channels)
         batch_vector = plan.batch_vector
-        is_f32 = dtype == np.float32
         segments = plan.pool_segments()
         rounds = segments.rounds()
         sums = _buffer(buffers, ("pool_sums", channels), (num_graphs, channels), dtype)
@@ -522,22 +504,10 @@ class MeanPoolStep(KernelStep):
         workspace = ScatterWorkspace(gathered=ws_gather)
 
         def run() -> None:
-            backend = _scatter.scatter_backend_name()
-            if backend == "prealloc":
-                scatter_rows_sum_into(
-                    sums, x, batch_vector, segments=segments, workspace=workspace
-                )
-                np.multiply(sums, inverse, out=pooled)
-                return
-            use_segments = is_f32 and backend == "reduceat"
-            fresh = scatter_rows_sum(
-                x,
-                batch_vector,
-                num_graphs,
-                flat=flat,
-                segments=segments if use_segments else None,
+            scatter_rows_sum_into(
+                sums, x, batch_vector, segments=segments, workspace=workspace
             )
-            np.multiply(fresh, inverse, out=pooled)
+            np.multiply(sums, inverse, out=pooled)
 
         return [run]
 
@@ -811,7 +781,8 @@ class InferenceProgram:
 
     Construct via ``PnPModel.compile_inference()``.  The program shares the
     model's parameter arrays by reference and reproduces the ``Module``
-    inference path bit for bit (both dtypes); arenas are planned lazily per
+    inference path bit for bit (at float32, the ``Module`` under
+    :func:`~repro.nn._scatter.reference_kernels`); arenas are planned lazily per
     ``(EdgePlan, dtype)`` and reused across calls, so interleaving batches
     of different sizes is safe — each plan owns its own arena.
     """
@@ -914,7 +885,7 @@ class InferenceProgram:
         return self._bound_encoder(plan).run(batch.token_ids, batch.node_types)
 
     def encode_pooled(self, batch: GraphBatch) -> np.ndarray:
-        """Pooled per-graph embedding, bit-identical to ``model.encode_pooled``.
+        """Pooled per-graph embedding, the twin of ``model.encode_pooled``.
 
         Returns a fresh copy (the internal pooled buffer is reused across
         calls), so callers may cache the result like the ``Module`` path's.
@@ -950,8 +921,7 @@ class InferenceProgram:
     def predict(self, batch: GraphBatch) -> np.ndarray:
         """Predicted class per graph — ``model.predict`` twin.
 
-        Warm calls perform zero array allocations under the ``"prealloc"``
-        scatter backend; the returned labels are a view into the head
-        workspace, reused by the next same-sized call.
+        Warm calls perform zero array allocations; the returned labels are a
+        view into the head workspace, reused by the next same-sized call.
         """
         return self.head.predict_labels(self._encode_view(batch), batch.aux_features)

@@ -50,19 +50,16 @@ def global_mean_pool(
     num_graphs: int,
     node_counts: Optional[np.ndarray] = None,
     flat_index: Optional[np.ndarray] = None,
-    segments=None,
 ) -> Tensor:
     """Average node features per graph → ``(num_graphs, channels)``.
 
     ``node_counts`` may carry the per-graph node counts precomputed by an
     :class:`~repro.nn.data.EdgePlan` (``plan.graph_node_counts``); when
     omitted they are recounted from ``batch``.  ``flat_index`` optionally
-    passes the plan's memoised flat scatter bins (``plan.pool_flat``) and
-    ``segments`` its sorted-segment schedule (``plan.pool_segments``) for
-    the pure-float32 reduceat scatter.
+    passes the plan's memoised flat scatter bins (``plan.pool_flat``).
     """
     batch = _check_batch(x, batch, num_graphs)
-    sums = x.scatter_sum(batch, num_graphs, flat_index=flat_index, segments=segments)
+    sums = x.scatter_sum(batch, num_graphs, flat_index=flat_index)
     counts = node_counts if node_counts is not None else count_index(batch, num_graphs)
     counts = np.maximum(counts, 1.0)
     # Reciprocal counts join at the feature dtype (counts themselves are
@@ -75,11 +72,11 @@ def lower_global_mean_pool(in_slot: str, out_slot: str = "pooled"):
     """Lower the mean-pool read-out to its raw-ndarray inference step.
 
     The returned :class:`~repro.nn.inference.MeanPoolStep` reads the
-    per-graph node counts, flat scatter bins and (for float32 under the
-    reduceat toggle) sorted-segment schedule from the bound
+    per-graph node counts and sorted-segment schedule from the bound
     :class:`~repro.nn.data.EdgePlan`, precomputing the reciprocal-count
     column once per plan — bit-identical to :func:`global_mean_pool` fed
-    the same plan-derived arguments.
+    the same plan-derived arguments at float64, and to its
+    :func:`~repro.nn._scatter.reference_kernels` run at both dtypes.
     """
     from repro.nn.inference import MeanPoolStep
 

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from repro.nn import init
-from repro.nn import _scatter
 from repro.nn._scatter import count_index
 from repro.nn.data import EdgePlan
 from repro.nn.layers import Module
@@ -154,20 +153,13 @@ class RGCNConv(Module):
     def _forward_planned(self, x: Tensor, plan: EdgePlan) -> Tensor:
         """Plan-driven execution: same operations, precomputed schedules."""
         in_channels = x.shape[1]
-        # Segment schedules follow the active scatter backend: float32 can
-        # take the single-precision sorted-segment reduceat scatters, and
-        # the prealloc rounds kernel applies at either dtype (it accumulates
-        # in strict index order, so float64 bit-identity is preserved).
-        use_segments = _scatter.segments_active(x.data.dtype)
         parts = [x @ self.root]
         for relation in range(self.num_relations):
             src = plan.relation_src[relation]
             if src.size == 0:
                 continue
             gathered = x.gather_rows(
-                src,
-                backward_flat=plan.gather_flat(relation, in_channels),
-                backward_segments=plan.gather_segments(relation) if use_segments else None,
+                src, backward_flat=plan.gather_flat(relation, in_channels)
             )
             messages = gathered @ self.weight[relation]
             norm = plan.relation_norm[relation]
@@ -177,7 +169,6 @@ class RGCNConv(Module):
                     plan.relation_dst[relation],
                     plan.num_nodes,
                     flat_index=plan.scatter_flat(relation, self.out_channels),
-                    segments=plan.scatter_segments(relation) if use_segments else None,
                 )
             )
         # Left-associative fused sum — bit-identical to the naive chained
@@ -191,7 +182,9 @@ class RGCNConv(Module):
         """Lower this layer to raw-ndarray steps for the inference runtime.
 
         Returns the :class:`~repro.nn.inference.RGCNStep` reproducing
-        :meth:`_forward_planned` bit for bit on preallocated buffers; the
+        :meth:`_forward_planned` on preallocated buffers (bit for bit at
+        float64; its index-ordered scatter matches the
+        :func:`~repro.nn._scatter.reference_kernels` run at float32); the
         step consumes the batch's :class:`EdgePlan` (schedules and buffers
         bind once per plan, on first use) exactly like the planned tensor
         path.

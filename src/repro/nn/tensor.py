@@ -574,7 +574,6 @@ class Tensor:
         self,
         index: np.ndarray,
         backward_flat: Optional[np.ndarray] = None,
-        backward_segments=None,
     ) -> "Tensor":
         """Select rows ``self[index]`` (autograd-aware gather along axis 0).
 
@@ -582,9 +581,6 @@ class Tensor:
         :func:`repro.nn._scatter.flat_scatter_index` of ``index`` for the
         gathered row width, reused by the backward scatter (an
         :class:`~repro.nn.data.EdgePlan` provides it per relation).
-        ``backward_segments`` likewise passes the index's precomputed
-        :class:`~repro.nn._scatter.SegmentSchedule` so a float32 backward
-        scatter can use the pure single-precision reduceat path.
         """
         index = np.asarray(index, dtype=np.int64)
         # Fancy indexing with an integer array already returns a fresh copy
@@ -599,13 +595,7 @@ class Tensor:
             if self.requires_grad:
                 if grad.ndim == 2 and self.data.ndim == 2:
                     self._accumulate(
-                        scatter_rows_sum(
-                            grad,
-                            index,
-                            num_rows,
-                            flat=backward_flat,
-                            segments=backward_segments,
-                        )
+                        scatter_rows_sum(grad, index, num_rows, flat=backward_flat)
                     )
                 else:
                     full = np.zeros_like(self.data)
@@ -619,23 +609,18 @@ class Tensor:
         index: np.ndarray,
         dim_size: int,
         flat_index: Optional[np.ndarray] = None,
-        segments=None,
     ) -> "Tensor":
         """Sum rows of ``self`` into ``dim_size`` buckets given by ``index``.
 
         ``out[j] = sum_{i : index[i] == j} self[i]`` — the core aggregation
         primitive for graph convolutions and global pooling.  ``flat_index``
         optionally passes the precomputed flat (bucket, channel) bins of
-        ``index`` (see :func:`repro.nn._scatter.flat_scatter_index`);
-        ``segments`` the index's :class:`~repro.nn._scatter.SegmentSchedule`
-        enabling the pure-float32 reduceat accumulation.
+        ``index`` (see :func:`repro.nn._scatter.flat_scatter_index`).
         """
         index = np.asarray(index, dtype=np.int64)
         if index.shape[0] != self.data.shape[0]:
             raise ValueError("index length must match the leading dimension")
-        out_data = scatter_rows_sum(
-            self.data, index, dim_size, flat=flat_index, segments=segments
-        )
+        out_data = scatter_rows_sum(self.data, index, dim_size, flat=flat_index)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -1,16 +1,14 @@
 """Fleet-scale serving for the PnP tuner.
 
-The serving stack has three layers:
+The serving stack has two layers:
 
 * **batch within a shard** — :meth:`repro.core.tuner.PnPTuner.predict_sweep_many`
   collates every cache-miss region graph of a multi-region sweep into one
   batch and encodes it with a single GNN pass;
-* **shard across processes** — :class:`SweepServer` partitions regions over a
-  pool of worker processes with a deterministic content-hash assignment; each
-  worker holds a read-only copy of the fitted weights (serialized once via
-  the ``.npz`` round-trip) and its own pooled-embedding LRU cache;
-* **shard across machines** — :class:`NodeServer` wraps the same read-only
-  serving tuner behind a TCP socket (self-verifying framed RPC — magic,
+* **shard across machines** — :class:`NodeServer` wraps a read-only
+  serving tuner (rebuilt from the fitted weights, serialized once via the
+  ``.npz`` round-trip, with its own pooled-embedding LRU cache) behind a
+  TCP socket (self-verifying framed RPC — magic,
   protocol version, length and blake2s payload digest per frame, corrupt
   streams rejected as :exc:`~repro.serve.rpc.RpcCorruption` before any
   unpickling; :mod:`repro.serve.rpc`), and :class:`FleetClient` shards
@@ -25,7 +23,7 @@ The serving stack has three layers:
   subprocesses on localhost — with kill/restart/pause failure drills — so
   the full wire path is exercisable on one machine.
 
-Above all three sits the request-shaped front door:
+Above both sits the request-shaped front door:
 
 * **coalesce single requests into batches** — the asyncio :class:`Gateway`
   admits independent single-region predict requests, coalesces them within
@@ -59,12 +57,11 @@ gate (:exc:`UntrustedRegion`), and :class:`TieredPredictor` routes between
 them — trusted regions hit the dense-only micro tier, everything else falls
 back to the GNN path byte-identically.  Replicas pick their predictor
 through :func:`~repro.serve.spec.build_predictor_from_update`, so shipping a
-distilled blob in a :class:`~repro.serve.spec.WeightsUpdate` upgrades nodes,
-workers and the gateway fallback to tiered serving uniformly.
+distilled blob in a :class:`~repro.serve.spec.WeightsUpdate` upgrades nodes
+and the gateway fallback to tiered serving uniformly.
 
 :func:`parallel_map` is the small deterministic process-pool primitive the
-experiment runners reuse to shard cross-validation folds and per-figure
-region loops.
+experiment runners use to shard cross-validation folds.
 """
 
 from repro.serve.faults import ChaosProxy, FaultEvent, FaultPlan
@@ -81,13 +78,8 @@ from repro.serve.predictor import (
     tiered_predictor,
 )
 from repro.serve.rpc import RpcCorruption, RpcTimeout
-from repro.serve.server import SweepServer, parallel_map
-from repro.serve.sharding import (
-    HashRing,
-    shard_assignments,
-    shard_for_region,
-    shard_positions,
-)
+from repro.serve.server import parallel_map
+from repro.serve.sharding import HashRing
 from repro.serve.spec import build_predictor_from_update
 
 __all__ = [
@@ -108,13 +100,9 @@ __all__ = [
     "Predictor",
     "RpcCorruption",
     "RpcTimeout",
-    "SweepServer",
     "TieredPredictor",
     "UntrustedRegion",
     "build_predictor_from_update",
     "parallel_map",
-    "shard_assignments",
-    "shard_for_region",
-    "shard_positions",
     "tiered_predictor",
 ]

@@ -271,24 +271,23 @@ class _Pump:
         return b"".join(chunks)
 
     def _read_frame(self) -> Optional[bytes]:
-        """One whole clean frame off the source (v2 or legacy), or None on EOF."""
-        head = self._read_exact(8)
+        """One whole clean frame off the source, or None on EOF."""
+        head = self._read_exact(rpc._PREAMBLE.size)
         if head is None:
             return None
-        if head[: len(rpc._MAGIC)] == rpc._MAGIC:
-            extent = self._read_exact(rpc._EXTENT.size)
-            if extent is None:
-                raise OSError("source closed mid-header")
-            length, _digest = rpc._EXTENT.unpack(extent)
-            body = self._read_exact(length) if length else b""
-            if length and body is None:
-                raise OSError("source closed mid-frame")
-            return head + extent + (body or b"")
-        (length,) = rpc._LEGACY_HEADER.unpack(head)
+        if head[: len(rpc._MAGIC)] != rpc._MAGIC:
+            # Unframed bytes: pass them on so the receiver rejects the bad
+            # magic, then stop parsing a stream with no frame boundaries.
+            self.sink.sendall(head)
+            raise OSError("source sent an unframed stream")
+        extent = self._read_exact(rpc._EXTENT.size)
+        if extent is None:
+            raise OSError("source closed mid-header")
+        length, _digest = rpc._EXTENT.unpack(extent)
         body = self._read_exact(length) if length else b""
         if length and body is None:
             raise OSError("source closed mid-frame")
-        return head + (body or b"")
+        return head + extent + (body or b"")
 
     def _half_close(self) -> None:
         try:

@@ -1,8 +1,7 @@
 """Self-healing multi-node fleet serving: :class:`FleetClient` + :class:`LocalFleet`.
 
-:class:`FleetClient` is the machine-boundary analogue of
-:class:`~repro.serve.server.SweepServer`, upgraded from a static pool to an
-**elastic, self-healing membership**:
+:class:`FleetClient` shards sweeps over an **elastic, self-healing
+membership** of TCP nodes:
 
 * **Consistent-hash routing** — regions are assigned to nodes by a
   virtual-node blake2s :class:`~repro.serve.sharding.HashRing` keyed by the
@@ -122,14 +121,10 @@ class FleetExhausted(RuntimeError):
 class _Member:
     """One fleet member: endpoint, request socket, health + probe bookkeeping."""
 
-    def __init__(
-        self, index: int, address: Tuple[str, int], legacy: bool = False
-    ) -> None:
+    def __init__(self, index: int, address: Tuple[str, int]) -> None:
         self.index = index
         self.address: Tuple[str, int] = tuple(address)
         self.sock: Optional[socket.socket] = None
-        #: Speak the v1 bare-prefix framing to this node (compat mode).
-        self.legacy = legacy
         # Serializes request/reply traffic on the socket.  Health transitions
         # deliberately do NOT take this lock: disconnect() must be able to
         # shut the socket down underneath a request that is blocked on a
@@ -169,7 +164,7 @@ class _Member:
             if sock is None:
                 raise rpc.ConnectionClosed("no open connection to the node")
             try:
-                return rpc.request(sock, payload, timeout=timeout, legacy=self.legacy)
+                return rpc.request(sock, payload, timeout=timeout)
             except rpc.RpcCorruption:
                 self.corruption += 1
                 raise
@@ -221,7 +216,6 @@ class FleetClient:
         dead_after: int = 3,
         connect_attempts: int = 5,
         request_timeout: Optional[float] = None,
-        legacy_nodes: bool = False,
     ) -> None:
         if not addresses:
             raise ValueError("a fleet needs at least one node address")
@@ -229,11 +223,6 @@ class FleetClient:
         self._ping_timeout = ping_timeout
         self._dead_after = max(1, int(dead_after))
         self._connect_attempts = max(1, int(connect_attempts))
-        #: Compat mode: speak the v1 bare-prefix framing and skip the
-        #: protocol-version handshake (for nodes predating the hardened
-        #: frames).  Off by default — a peer that does not advertise the
-        #: hardened protocol is refused at the handshake.
-        self._legacy_nodes = bool(legacy_nodes)
         #: Per-call deadline for sweep/clear/stats traffic (None = block).
         #: A request that trips it raises RpcTimeout on the caller side and
         #: marks the node DEAD (the timed-out socket is poisoned), so a
@@ -345,7 +334,7 @@ class FleetClient:
         with self._state_lock:
             index = self._next_index
             self._next_index += 1
-            member = _Member(index, address, legacy=self._legacy_nodes)
+            member = _Member(index, address)
             self._members[index] = member
         sock = rpc.connect(
             address, timeout=self._connect_timeout, attempts=self._connect_attempts
@@ -513,7 +502,7 @@ class FleetClient:
             return
         try:
             sock.settimeout(self._ping_timeout)
-            info = rpc.request(sock, ("ping",), legacy=member.legacy)
+            info = rpc.request(sock, ("ping",))
         except rpc.RpcCorruption as error:
             member.corruption += 1
             self._close_quietly(sock)
@@ -524,20 +513,14 @@ class FleetClient:
             self._note_probe_failure(member, f"ping failed: {error}")
             return
         # Protocol-version handshake: the node advertises its frame protocol
-        # in every ping reply; a peer that does not speak the hardened
-        # framing is only acceptable in explicit legacy mode.
-        protocol = (
-            info.get("protocol", rpc.LEGACY_PROTOCOL_VERSION)
-            if isinstance(info, dict)
-            else rpc.LEGACY_PROTOCOL_VERSION
-        )
-        if protocol != rpc.PROTOCOL_VERSION and not self._legacy_nodes:
+        # in every ping reply; a peer that does not is refused.
+        protocol = info.get("protocol") if isinstance(info, dict) else None
+        if protocol != rpc.PROTOCOL_VERSION:
             self._close_quietly(sock)
             self._note_probe_failure(
                 member,
                 f"peer speaks frame protocol v{protocol}, not "
-                f"v{rpc.PROTOCOL_VERSION} (pass legacy_nodes=True to accept "
-                f"bare-prefix peers)",
+                f"v{rpc.PROTOCOL_VERSION}",
             )
             return
         try:
@@ -561,7 +544,7 @@ class FleetClient:
         if needs_register:
             # Registration rebuilds a tuner on the node — allow real time.
             sock.settimeout(self._connect_timeout)
-            rpc.request(sock, payload, legacy=member.legacy)
+            rpc.request(sock, payload)
         sock.settimeout(None)
         with self._state_lock:
             if self._closed or member.index not in self._members:
@@ -607,24 +590,16 @@ class FleetClient:
 
     # --------------------------------------------------------- registration
     def _check_protocol(self, index: int, reply: object) -> None:
-        """Refuse a peer that does not speak the hardened frame protocol.
+        """Refuse a peer that does not speak the frame protocol.
 
         Nodes advertise ``"protocol"`` in ping/register/stats replies; a
-        missing field means a pre-hardening (v1) peer.  Only enforced
-        outside explicit ``legacy_nodes`` mode.
+        missing field means a peer that predates the verified frames.
         """
-        if self._legacy_nodes:
-            return
-        protocol = (
-            reply.get("protocol", rpc.LEGACY_PROTOCOL_VERSION)
-            if isinstance(reply, dict)
-            else rpc.LEGACY_PROTOCOL_VERSION
-        )
+        protocol = reply.get("protocol") if isinstance(reply, dict) else None
         if protocol != rpc.PROTOCOL_VERSION:
             raise RuntimeError(
                 f"fleet node {index} speaks frame protocol v{protocol}, not "
-                f"v{rpc.PROTOCOL_VERSION}; pass legacy_nodes=True to accept "
-                f"bare-prefix peers"
+                f"v{rpc.PROTOCOL_VERSION}"
             )
 
     def _register_payload(self, version: Optional[int] = None) -> Tuple:
@@ -676,8 +651,7 @@ class FleetClient:
             )
             # Protocol-version handshake at registration: every node
             # advertises its frame protocol in the register reply, and a
-            # peer that does not speak the hardened framing is a
-            # configuration error unless legacy mode was requested.
+            # peer that does not speak it is a configuration error.
             for index, reply in zip(indices, replies):
                 self._check_protocol(index, reply)
             return replies

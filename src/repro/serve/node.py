@@ -1,8 +1,7 @@
 """One fleet node: a TCP server wrapping a read-only serving tuner.
 
-A :class:`NodeServer` is the machine-boundary analogue of one
-:class:`~repro.serve.server.SweepServer` worker.  It listens on a TCP
-socket, and over :mod:`repro.serve.rpc`'s length-prefixed framing answers:
+A :class:`NodeServer` listens on a TCP socket, and over
+:mod:`repro.serve.rpc`'s self-verifying framing answers:
 
 ``("register", spec, weights_update, dtypes)``
     Build the serving tuner from the picklable
@@ -21,21 +20,17 @@ socket, and over :mod:`repro.serve.rpc`'s length-prefixed framing answers:
     over the node's share of the fleet, byte-identical to serial
     ``predict_sweep`` on the parent tuner.
 ``("clear",)`` / ``("stats",)`` / ``("ping",)`` / ``("stop",)``
-    Cache control, cache statistics, liveness, shutdown — the same verbs the
-    local worker pool speaks over its pipes.  ``ping`` reports the node's
-    registration state, weights version and frame-protocol version, which
-    is what the fleet's heartbeat handshake uses to decide whether a
-    recovered node needs a re-registration before being re-admitted (and
-    whether the peer speaks the hardened framing at all).
+    Cache control, cache statistics, liveness, shutdown.  ``ping`` reports
+    the node's registration state, weights version and frame-protocol
+    version, which is what the fleet's heartbeat handshake uses to decide
+    whether a recovered node needs a re-registration before being
+    re-admitted (and whether the peer speaks the frame protocol at all).
 
 Frames are the self-verifying v2 format from :mod:`repro.serve.rpc`; a
 connection whose stream fails verification (:class:`~repro.serve.rpc.
 RpcCorruption`) is counted in the node's ``corrupt_frames`` statistic and
 torn down — corruption is unrecoverable mid-stream, so the client must
-reconnect, exactly as if the node had dropped the socket.  Legacy
-bare-prefix (v1) clients are refused unless the node was constructed with
-``legacy_clients=True``, in which case the framing is sniffed per
-connection and replies go out in whatever framing the request arrived in.
+reconnect, exactly as if the node had dropped the socket.
 
 The node accepts any number of sequential or concurrent client connections
 (registration is node-global, and a lock serializes tuner access), so a
@@ -79,9 +74,7 @@ class NodeServer:
     accepting.
     """
 
-    def __init__(
-        self, host: str = "127.0.0.1", port: int = 0, legacy_clients: bool = False
-    ) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -94,7 +87,6 @@ class NodeServer:
         # kept alongside for cache control.
         self._predictor = None
         self._version = 0
-        self._legacy_clients = bool(legacy_clients)
         # Connections torn down because their stream failed frame
         # verification (bad magic/version/length/digest).  Surfaced in the
         # stats reply so the fleet client and gateway can account for
@@ -152,9 +144,7 @@ class NodeServer:
         with connection:
             while not self._stopped.is_set():
                 try:
-                    message, protocol = rpc.recv_frame(
-                        connection, allow_legacy=self._legacy_clients
-                    )
+                    message = rpc.recv_message(connection)
                 except rpc.RpcCorruption as error:
                     # Verification failed before any unpickling.  The stream
                     # is unrecoverable past this point: count it and tear
@@ -171,7 +161,6 @@ class NodeServer:
                     return
                 except rpc.ConnectionClosed:
                     return  # client went away; keep serving others
-                legacy_reply = protocol == rpc.LEGACY_PROTOCOL_VERSION
                 with self._idle:
                     self._inflight += 1
                 try:
@@ -180,7 +169,7 @@ class NodeServer:
                     except Exception as error:  # noqa: BLE001 - report, keep serving
                         reply = ("error", rpc.error_frame(error))
                     try:
-                        rpc.send_message(connection, reply, legacy=legacy_reply)
+                        rpc.send_message(connection, reply)
                     except rpc.ConnectionClosed:
                         return  # client vanished while we served its request
                 finally:

@@ -8,9 +8,9 @@ truncated, duplicated or misaligned byte stream is detected and rejected
     offset  size  field
     ------  ----  -----------------------------------------------------
     0       4     magic  0xAB 'R' 'P' 'C'   (first byte non-zero, so a
-                  legacy bare length prefix — which always starts with
-                  four zero bytes for any sane message — can never be
-                  mistaken for a hardened frame)
+                  bare length prefix — which always starts with four
+                  zero bytes for any sane message — can never be
+                  mistaken for a frame)
     4       1     protocol version (PROTOCOL_VERSION == 2)
     5       1     flags (reserved; must be zero)
     6       2     reserved (must be zero)
@@ -25,23 +25,16 @@ and re-admit it on a fresh connection.  Callers that want to *count*
 corruption separately (the node's accept loop, the fleet client) catch
 :exc:`RpcCorruption` before :exc:`ConnectionClosed`.
 
-The protocol on top is the same four-verb request/reply scheme the local
-:class:`~repro.serve.server.SweepServer` pipes speak (``register`` /
+The protocol on top is a small request/reply verb scheme (``register`` /
 ``sweep`` / ``clear`` / ``stats`` / ``ping`` / ``stop``).  Replies are
 ``("ok", payload)`` or ``("error", frame)`` where the error frame (built by
 :func:`error_frame`) carries both a one-line exception summary and the full
 formatted node-side traceback; :func:`request` sends one message, waits for
 the reply and raises :class:`RemoteError` exposing both on an error reply.
 
-**Legacy compat.** Protocol v1 was a bare 8-byte big-endian length prefix
-with no verification.  v1 peers are still accepted, but only behind an
-explicit flag: ``recv_message(..., allow_legacy=True)`` falls back to
-bare-prefix parsing when the magic is absent, and ``send_message(...,
-legacy=True)`` emits v1 frames.  :class:`~repro.serve.node.NodeServer`
-exposes this as ``legacy_clients=True`` and
-:class:`~repro.serve.fleet.FleetClient` as ``legacy_nodes=True``; by
-default both ends refuse v1 framing, so a corrupt stream can never be
-silently re-interpreted as a legacy peer.
+Protocol v1 (a bare 8-byte big-endian length prefix with no verification)
+is not spoken: a frame without the magic is corruption, so no unverified
+byte ever reaches ``pickle.loads``.
 
 Like ``multiprocessing``'s pipes, the transport trusts its peers: messages
 are **pickle**, so a node must only ever be exposed to the cluster-internal
@@ -86,7 +79,6 @@ __all__ = [
     "RpcCorruption",
     "RpcTimeout",
     "PROTOCOL_VERSION",
-    "LEGACY_PROTOCOL_VERSION",
     "connect",
     "error_frame",
     "send_message",
@@ -95,22 +87,18 @@ __all__ = [
     "request",
 ]
 
-#: The hardened frame protocol shipped by default.
+#: The hardened frame protocol, the only one spoken.
 PROTOCOL_VERSION = 2
 
-#: The original bare-length-prefix framing (no magic, no digest).
-LEGACY_PROTOCOL_VERSION = 1
-
-#: Frame magic.  The first byte is deliberately non-zero: a legacy v1
-#: length prefix below :data:`MAX_MESSAGE_BYTES` always starts with four
-#: zero bytes, so the two framings can never be confused.
+#: Frame magic.  The first byte is deliberately non-zero: a bare v1 length
+#: prefix below :data:`MAX_MESSAGE_BYTES` always starts with four zero
+#: bytes, so it can never be mistaken for a frame.
 _MAGIC = b"\xabRPC"
 
 #: blake2s digest width — 16 bytes is plenty for accident detection.
 DIGEST_BYTES = 16
 
-#: magic(4s) + version(B) + flags(B) + reserved(H); 8 bytes, same width as
-#: the legacy prefix so the receiver can sniff the framing from one read.
+#: magic(4s) + version(B) + flags(B) + reserved(H); 8 bytes.
 _PREAMBLE = struct.Struct(">4sBBH")
 
 #: payload length (Q) + blake2s-128 payload digest (16s).
@@ -118,9 +106,6 @@ _EXTENT = struct.Struct(">Q16s")
 
 #: Total v2 header size (documented in the module docstring diagram).
 HEADER_BYTES = _PREAMBLE.size + _EXTENT.size
-
-#: Legacy v1 framing: a bare 8-byte big-endian payload length prefix.
-_LEGACY_HEADER = struct.Struct(">Q")
 
 #: Upper bound on a single message (1 GiB) — a corrupt or misaligned stream
 #: fails fast instead of attempting an absurd allocation.
@@ -227,22 +212,17 @@ def _digest(data: bytes) -> bytes:
     return hashlib.blake2s(data, digest_size=DIGEST_BYTES).digest()
 
 
-def send_message(sock: socket.socket, payload: Any, legacy: bool = False) -> None:
+def send_message(sock: socket.socket, payload: Any) -> None:
     """Pickle ``payload`` and send it as one verified frame (blocking).
 
-    ``legacy=True`` emits a v1 bare-length-prefix frame instead (for peers
-    that predate the hardened protocol).  Header and payload go out as two
-    ``sendall`` calls over a ``memoryview`` — the payload (which can be a
-    ~1 GiB weights blob at registration) is never copied into a
-    concatenated buffer.
+    Header and payload go out as two ``sendall`` calls over a
+    ``memoryview`` — the payload (which can be a ~1 GiB weights blob at
+    registration) is never copied into a concatenated buffer.
     """
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    if legacy:
-        header = _LEGACY_HEADER.pack(len(data))
-    else:
-        header = _PREAMBLE.pack(_MAGIC, PROTOCOL_VERSION, 0, 0) + _EXTENT.pack(
-            len(data), _digest(data)
-        )
+    header = _PREAMBLE.pack(_MAGIC, PROTOCOL_VERSION, 0, 0) + _EXTENT.pack(
+        len(data), _digest(data)
+    )
     try:
         sock.sendall(header)
         sock.sendall(memoryview(data))
@@ -289,75 +269,56 @@ def _recv_exact(
 
 
 def recv_frame(
-    sock: socket.socket,
-    deadline: Optional[float] = None,
-    allow_legacy: bool = False,
+    sock: socket.socket, deadline: Optional[float] = None
 ) -> Tuple[Any, int]:
     """Receive one frame; returns ``(payload, protocol_version)``.
 
-    The hardened path verifies magic, version, flags, length and the
-    payload digest before unpickling — any violation raises
-    :class:`RpcCorruption` with no payload byte ever reaching
-    ``pickle.loads``.  With ``allow_legacy=True`` a frame that does not
-    start with the magic is parsed as a v1 bare length prefix instead
-    (the explicit compat path for pre-hardening peers); without it, a
-    magic mismatch is corruption, full stop.
+    Verifies magic, version, flags, length and the payload digest before
+    unpickling — any violation raises :class:`RpcCorruption` with no
+    payload byte ever reaching ``pickle.loads``.
 
     ``deadline`` is an absolute ``time.monotonic()`` instant; when given,
     the receive raises :class:`RpcTimeout` instead of blocking past it.
     """
     head = _recv_exact(sock, _PREAMBLE.size, deadline)
-    if head[: len(_MAGIC)] == _MAGIC:
-        _magic, version, flags, reserved = _PREAMBLE.unpack(head)
-        if version != PROTOCOL_VERSION:
-            raise RpcCorruption(
-                f"unsupported frame protocol version {version} "
-                f"(this peer speaks v{PROTOCOL_VERSION}) — corrupt stream or "
-                f"incompatible peer"
-            )
-        if flags or reserved:
-            raise RpcCorruption(
-                f"non-zero reserved header bits (flags={flags:#x}, "
-                f"reserved={reserved:#x}): corrupt stream"
-            )
-        length, digest = _EXTENT.unpack(_recv_exact(sock, _EXTENT.size, deadline))
-        if length > MAX_MESSAGE_BYTES:
-            raise RpcCorruption(
-                f"refusing a {length}-byte frame (corrupt stream? limit is "
-                f"{MAX_MESSAGE_BYTES})"
-            )
-        data = _recv_exact(sock, length, deadline)
-        if _digest(data) != digest:
-            raise RpcCorruption(
-                f"payload digest mismatch over {length} bytes: corrupt frame "
-                f"(refusing to unpickle)"
-            )
-        return pickle.loads(data), version
-    if not allow_legacy:
+    magic, version, flags, reserved = _PREAMBLE.unpack(head)
+    if magic != _MAGIC:
         raise RpcCorruption(
-            f"bad frame magic {head[: len(_MAGIC)]!r}: corrupt or misaligned "
-            f"stream (or a legacy bare-prefix peer — those are only accepted "
-            f"behind an explicit allow_legacy/compat flag)"
+            f"bad frame magic {magic!r}: corrupt or misaligned stream "
+            f"(or a bare-prefix v1 peer, which is not spoken)"
         )
-    (length,) = _LEGACY_HEADER.unpack(head)
+    if version != PROTOCOL_VERSION:
+        raise RpcCorruption(
+            f"unsupported frame protocol version {version} "
+            f"(this peer speaks v{PROTOCOL_VERSION}) — corrupt stream or "
+            f"incompatible peer"
+        )
+    if flags or reserved:
+        raise RpcCorruption(
+            f"non-zero reserved header bits (flags={flags:#x}, "
+            f"reserved={reserved:#x}): corrupt stream"
+        )
+    length, digest = _EXTENT.unpack(_recv_exact(sock, _EXTENT.size, deadline))
     if length > MAX_MESSAGE_BYTES:
         raise RpcCorruption(
-            f"refusing a {length}-byte legacy message (corrupt stream? limit "
-            f"is {MAX_MESSAGE_BYTES})"
+            f"refusing a {length}-byte frame (corrupt stream? limit is "
+            f"{MAX_MESSAGE_BYTES})"
         )
-    return pickle.loads(_recv_exact(sock, length, deadline)), LEGACY_PROTOCOL_VERSION
+    data = _recv_exact(sock, length, deadline)
+    if _digest(data) != digest:
+        raise RpcCorruption(
+            f"payload digest mismatch over {length} bytes: corrupt frame "
+            f"(refusing to unpickle)"
+        )
+    return pickle.loads(data), version
 
 
-def recv_message(
-    sock: socket.socket,
-    deadline: Optional[float] = None,
-    allow_legacy: bool = False,
-) -> Any:
+def recv_message(sock: socket.socket, deadline: Optional[float] = None) -> Any:
     """Receive one verified frame and return its unpickled payload.
 
-    See :func:`recv_frame` for the verification and compat semantics.
+    See :func:`recv_frame` for the verification semantics.
     """
-    payload, _version = recv_frame(sock, deadline=deadline, allow_legacy=allow_legacy)
+    payload, _version = recv_frame(sock, deadline=deadline)
     return payload
 
 
@@ -372,7 +333,6 @@ def request(
     sock: socket.socket,
     payload: Tuple,
     timeout: Optional[float] = None,
-    legacy: bool = False,
 ) -> Any:
     """One request/reply round trip; unwraps ``("ok", ...)`` replies.
 
@@ -388,10 +348,6 @@ def request(
     and the socket must be discarded (the late reply would desynchronise
     the framing of the next request).  ``timeout=None`` preserves the
     previous blocking behaviour and the socket's configured timeout.
-
-    ``legacy=True`` speaks the v1 bare-prefix framing for the whole round
-    trip (request *and* reply) — the explicit compat path for pre-hardening
-    peers.
     """
     if not (isinstance(payload, (tuple, list)) and len(payload) >= 1):
         raise ValueError(
@@ -404,20 +360,20 @@ def request(
         try:
             sock.settimeout(max(deadline - time.monotonic(), 1e-6))
             try:
-                send_message(sock, payload, legacy=legacy)
+                send_message(sock, payload)
             except TimeoutError as error:
                 raise RpcTimeout(
                     f"{_command(payload)} request not sent within {timeout:.3f}s"
                 ) from error
-            reply = recv_message(sock, deadline=deadline, allow_legacy=legacy)
+            reply = recv_message(sock, deadline=deadline)
         finally:
             try:
                 sock.settimeout(previous)
             except OSError:  # pragma: no cover - socket torn down mid-call
                 pass
         return _unwrap(payload, reply)
-    send_message(sock, payload, legacy=legacy)
-    reply = recv_message(sock, allow_legacy=legacy)
+    send_message(sock, payload)
+    reply = recv_message(sock)
     return _unwrap(payload, reply)
 
 

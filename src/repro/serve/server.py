@@ -1,351 +1,25 @@
-"""Process-sharded sweep serving: the :class:`SweepServer` worker pool.
+"""Deterministic process-pool map for the experiment runners.
 
-Serving answers power-cap sweeps for fleets of regions.  One region's sweep
-is a single cached encoder pass plus a dense-head batch, and regions are
-independent — embarrassingly parallel.  The server therefore:
-
-* assigns each region to a shard with the **deterministic content hash**
-  shared by every serving layer (:mod:`repro.serve.sharding`).  The pool's
-  worker count is fixed for its lifetime, so the cheap *flat modulo* scheme
-  is the right one here (the elastic multi-node fleet uses the
-  consistent-hash ring instead) — the same region always lands on the same
-  shard, per-worker embedding caches stay hot, and a re-run reproduces the
-  exact same batch compositions;
-* runs one **worker process per shard**.  A worker reconstructs the tuner
-  from the picklable :class:`~repro.serve.spec.TunerSpec` (system,
-  objective, model configuration, the benchmark-suite regions) and loads
-  the fitted weights from an ``.npz`` archive written **once** by the
-  parent (the existing serialization round-trip) — workers never share
-  mutable state;
-* serves each shard's regions through
-  :meth:`~repro.core.tuner.PnPTuner.predict_sweep_many`, i.e. batched
-  encoding within the shard, sharding across processes.  Each worker lowers
-  its loaded weights into a compiled
-  :class:`~repro.nn.inference.InferenceProgram` at start-up
-  (:func:`~repro.serve.spec.build_serving_tuner` does this eagerly), so
-  shard serving runs the autograd-free raw-ndarray runtime — no ``Tensor``
-  wrappers or graph bookkeeping on any worker's hot path.
-
-Results are reassembled in input order and are byte-identical to serial
-per-region ``predict_sweep`` calls on the parent tuner (every kernel is
-row-independent and per-region quantities are computed identically in any
-shard composition; ``tests/serve/test_sweep_server.py`` asserts equality at
-both precisions).
-
-The machine-boundary analogue of this pool — the same spec/weight shipping
-and shard assignment over TCP instead of pipes — lives in
-:mod:`repro.serve.node` / :mod:`repro.serve.fleet`.
-
-:func:`parallel_map` exposes the same deterministic pool machinery as a
-generic primitive; the experiment runners use it to shard cross-validation
-folds.
+:func:`parallel_map` shards independent work items (the cross-validation
+folds) over a worker-process pool and returns the
+results in input order, so any deterministic function yields output
+identical to the serial list comprehension.  Serving itself runs over the
+TCP fleet (:mod:`repro.serve.node` / :mod:`repro.serve.fleet`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import tempfile
-import traceback
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
-from repro.core.tuner import PnPTuner, TuningResult
-from repro.nn import serialization
-from repro.openmp.region import RegionCharacteristics
-from repro.serve.sharding import shard_positions
-from repro.serve.spec import (
-    TunerSpec,
-    build_serving_tuner,
-    default_start_method,
-    tuner_spec,
-)
-from repro.utils.logging import get_logger
+from repro.serve.spec import default_start_method
 
-__all__ = ["SweepServer", "parallel_map"]
-
-_LOG = get_logger("serve.server")
+__all__ = ["parallel_map"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-@dataclass(frozen=True)
-class _WorkerSpec:
-    """A shared :class:`TunerSpec` plus where this pool parked the weights.
-
-    ``distilled`` optionally carries a
-    :meth:`~repro.distill.student.DistilledModel.to_blob` payload; workers
-    then serve through the tiered micro/GNN
-    :class:`~repro.serve.predictor.TieredPredictor` instead of the plain
-    GNN path.
-    """
-
-    tuner: TunerSpec
-    weights_path: str
-    distilled: Optional[bytes] = None
-
-
-def _worker_main(connection, spec: _WorkerSpec) -> None:
-    """Worker loop: build the tuner and predictor once, then serve sweeps."""
-    from repro.serve.predictor import GNNPredictor
-
-    try:
-        tuner = build_serving_tuner(spec.tuner, weights_path=spec.weights_path)
-        if spec.distilled is not None:
-            from repro.distill.student import DistilledModel
-            from repro.serve.predictor import tiered_predictor
-
-            predictor = tiered_predictor(
-                tuner, DistilledModel.from_blob(spec.distilled)
-            )
-        else:
-            predictor = GNNPredictor(tuner)
-        connection.send(("ready", None))
-    except Exception:  # noqa: BLE001 - report startup failures to the parent
-        connection.send(("error", traceback.format_exc()))
-        return
-    while True:
-        try:
-            message = connection.recv()
-        except EOFError:
-            return
-        command = message[0]
-        try:
-            if command == "stop":
-                return
-            if command == "sweep":
-                _, regions, caps, dtype = message
-                results = predictor.predict_sweep_many(regions, caps, dtype=dtype)
-                connection.send(("ok", results))
-            elif command == "clear":
-                tuner._embedding_cache.clear()
-                tuner._sweep_batch_memo.clear()
-                tuner.clear_inference_buffers()
-                connection.send(("ok", None))
-            elif command == "stats":
-                cache = tuner._embedding_cache
-                tier_stats = getattr(predictor, "tier_stats", None)
-                stats = {
-                    "size": len(cache),
-                    "hits": cache.hits,
-                    "misses": cache.misses,
-                    "tier": tier_stats()
-                    if tier_stats is not None
-                    else {"micro_hits": 0, "fallbacks": 0, "micro_families": 0},
-                }
-                connection.send(("ok", stats))
-            else:
-                connection.send(("error", f"unknown command {command!r}"))
-        except Exception:  # noqa: BLE001 - keep serving after a bad request
-            connection.send(("error", traceback.format_exc()))
-
-
-class SweepServer:
-    """A pool of sweep-serving worker processes with deterministic sharding.
-
-    Build one with :meth:`from_tuner`; the server owns the worker processes
-    and the one-time ``.npz`` weight serialization, and is reusable across
-    many :meth:`sweep` calls (per-worker embedding caches persist between
-    calls).  Close it explicitly or use it as a context manager::
-
-        with SweepServer.from_tuner(tuner, num_workers=4) as server:
-            results = server.sweep(regions, power_caps)
-
-    ``results[i]`` is byte-identical to
-    ``tuner.predict_sweep(regions[i], power_caps)``.
-    """
-
-    def __init__(
-        self,
-        spec: _WorkerSpec,
-        num_workers: int = 2,
-        start_method: Optional[str] = None,
-        _owns_weights: bool = False,
-    ) -> None:
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        self.num_workers = num_workers
-        self._spec = spec
-        self._owns_weights = _owns_weights
-        self._closed = False
-        context = multiprocessing.get_context(start_method or default_start_method())
-        self._connections = []
-        self._processes = []
-        for _ in range(num_workers):
-            parent_end, worker_end = context.Pipe()
-            process = context.Process(
-                target=_worker_main, args=(worker_end, spec), daemon=True
-            )
-            process.start()
-            worker_end.close()
-            self._connections.append(parent_end)
-            self._processes.append(process)
-        for connection in self._connections:
-            status, payload = connection.recv()
-            if status != "ready":
-                self.close()
-                raise RuntimeError(f"sweep worker failed to start:\n{payload}")
-        _LOG.info(
-            "sweep server up: %d worker(s), pids %s",
-            num_workers,
-            [process.pid for process in self._processes],
-        )
-
-    # ------------------------------------------------------------- factory
-    @classmethod
-    def from_tuner(
-        cls,
-        tuner: PnPTuner,
-        num_workers: int = 2,
-        start_method: Optional[str] = None,
-        weights_path: Optional[str] = None,
-        distilled: Optional[bytes] = None,
-    ) -> "SweepServer":
-        """Serve a fitted tuner: weights are serialized once for the pool.
-
-        ``weights_path`` overrides where the ``.npz`` archive is written
-        (default: a temporary file removed on :meth:`close`).  ``distilled``
-        optionally ships a :meth:`~repro.distill.student.DistilledModel.
-        to_blob` payload so the workers serve the tiered micro/GNN stack.
-        """
-        tuner._require_fitted()
-        owns = weights_path is None
-        if weights_path is None:
-            handle = tempfile.NamedTemporaryFile(
-                prefix="pnp_sweep_server_", suffix=".npz", delete=False
-            )
-            handle.close()
-            weights_path = handle.name
-        serialization.save_state_dict(tuner.state_dict(), weights_path)
-        spec = _WorkerSpec(
-            tuner=tuner_spec(tuner), weights_path=weights_path, distilled=distilled
-        )
-        return cls(
-            spec,
-            num_workers=num_workers,
-            start_method=start_method,
-            _owns_weights=owns,
-        )
-
-    # ------------------------------------------------------------- serving
-    def sweep(
-        self,
-        regions: Sequence[RegionCharacteristics],
-        power_caps: Sequence[float],
-        dtype: Optional[str] = None,
-    ) -> List[List[TuningResult]]:
-        """Sweep every region, sharded across the pool; input order preserved."""
-        self._require_open()
-        regions = list(regions)
-        if not regions:
-            return []
-        positions = shard_positions([r.region_id for r in regions], self.num_workers)
-        # Dispatch every shard before collecting any result so the workers
-        # run concurrently.
-        for shard, members in positions.items():
-            shard_regions = [regions[i] for i in members]
-            self._send(shard, ("sweep", shard_regions, list(power_caps), dtype))
-        results: List[Optional[List[TuningResult]]] = [None] * len(regions)
-        for shard, members in positions.items():
-            payload = self._receive(shard)
-            for position, swept in zip(members, payload):
-                results[position] = swept
-        return results  # type: ignore[return-value]
-
-    def clear_caches(self) -> None:
-        """Reset every worker to the cold path (cold-path benches).
-
-        Clears both the pooled-embedding caches and the fleet-composition
-        batch memos, so the next sweep re-collates, re-plans and re-encodes.
-        """
-        self._require_open()
-        for shard in range(self.num_workers):
-            self._send(shard, ("clear",))
-        for shard in range(self.num_workers):
-            self._receive(shard)
-
-    def cache_stats(self) -> List[Dict[str, int]]:
-        """Per-worker embedding cache statistics (size / hits / misses)."""
-        self._require_open()
-        for shard in range(self.num_workers):
-            self._send(shard, ("stats",))
-        return [self._receive(shard) for shard in range(self.num_workers)]
-
-    def _send(self, shard: int, message) -> None:
-        """Send one request to a worker; a dead worker raises, never hangs."""
-        try:
-            self._connections[shard].send(message)
-        except (BrokenPipeError, OSError):
-            raise self._worker_died(shard) from None
-
-    def _receive(self, shard: int):
-        try:
-            status, payload = self._connections[shard].recv()
-        except (EOFError, ConnectionError, OSError):
-            # The worker process died mid-request: its end of the pipe is
-            # gone, so recv() raises instead of blocking forever.  Surface
-            # what happened (who died, with what exit code) to the caller.
-            raise self._worker_died(shard) from None
-        if status != "ok":
-            raise RuntimeError(f"sweep worker {shard} failed:\n{payload}")
-        return payload
-
-    def _worker_died(self, shard: int) -> RuntimeError:
-        process = self._processes[shard]
-        process.join(timeout=0.5)
-        exitcode = process.exitcode
-        _LOG.warning(
-            "sweep worker %d (pid %s) died mid-request with exitcode %s",
-            shard,
-            process.pid,
-            exitcode,
-        )
-        return RuntimeError(
-            f"sweep worker {shard} died mid-request "
-            f"(exitcode {exitcode}); the pool is no longer consistent — "
-            "close() this server and build a new one"
-        )
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("SweepServer is closed")
-
-    # ------------------------------------------------------------ lifecycle
-    def close(self) -> None:
-        """Stop the workers and remove the owned weight archive."""
-        if self._closed:
-            return
-        self._closed = True
-        for connection in self._connections:
-            try:
-                connection.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self._processes:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=1.0)
-        for connection in self._connections:
-            connection.close()
-        if self._owns_weights and os.path.exists(self._spec.weights_path):
-            os.unlink(self._spec.weights_path)
-
-    def __enter__(self) -> "SweepServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - best effort
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001
-            pass
-
-
-# ---------------------------------------------------------------- generic map
 def parallel_map(
     function: Callable[[T], R],
     items: Sequence[T],

@@ -1,26 +1,17 @@
-"""Deterministic content-hash sharding shared by every serving layer.
+"""Deterministic consistent-hash sharding for the serving fleet.
 
-Regions are assigned to shards by a **content hash** of the region id — not
+Regions are assigned to nodes by a **content hash** of the region id — not
 Python's salted ``hash()`` — so the assignment is stable across processes,
 machines and reruns.  Stability is what makes fleet serving reproducible:
-the same region always lands on the same shard, per-shard embedding caches
+the same region always lands on the same node, per-node embedding caches
 stay hot, and a re-run reproduces the exact same batch compositions.
 
-Two assignment schemes live here, one per membership model:
-
-* **Flat modulo hashing** (:func:`shard_for_region` /
-  :func:`shard_assignments` / :func:`shard_positions`) for shard sets whose
-  size is *fixed for the pool's lifetime* — the in-process
-  :class:`~repro.serve.server.SweepServer` worker pool, whose worker count
-  is chosen at construction and never changes.  It is the cheapest possible
-  stable assignment, but any change of ``num_shards`` rehashes (almost)
-  every region.
-* **Consistent hashing** (:class:`HashRing`, virtual-node blake2s ring) for
-  memberships that *churn* — the multi-node
-  :class:`~repro.serve.fleet.FleetClient`, where nodes crash, recover, join
-  and leave at runtime.  Removing a node moves **only that node's keys** to
-  the survivors (the survivors' own keys never move, so their embedding
-  caches stay warm), and adding a node steals only ≈``1/(N+1)`` of the keys.
+:class:`HashRing` (virtual-node blake2s ring) serves a membership that
+*churns* — the multi-node :class:`~repro.serve.fleet.FleetClient`, where
+nodes crash, recover, join and leave at runtime.  Removing a node moves
+**only that node's keys** to the survivors (the survivors' own keys never
+move, so their embedding caches stay warm), and adding a node steals only
+≈``1/(N+1)`` of the keys.
 """
 
 from __future__ import annotations
@@ -29,39 +20,7 @@ import bisect
 import hashlib
 from typing import Dict, Hashable, Iterable, List, Sequence
 
-__all__ = [
-    "HashRing",
-    "shard_for_region",
-    "shard_assignments",
-    "shard_positions",
-]
-
-
-def shard_for_region(region_id: str, num_shards: int) -> int:
-    """The stable shard index of one region id (blake2s content hash)."""
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    digest = hashlib.blake2s(region_id.encode("utf-8"), digest_size=4).digest()
-    return int.from_bytes(digest, "big") % num_shards
-
-
-def shard_assignments(region_ids: Sequence[str], num_shards: int) -> List[int]:
-    """Deterministic region → shard assignment for a whole fleet of regions."""
-    return [shard_for_region(region_id, num_shards) for region_id in region_ids]
-
-
-def shard_positions(region_ids: Sequence[str], num_shards: int) -> Dict[int, List[int]]:
-    """Input positions grouped by shard: ``{shard: [position, ...]}``.
-
-    Only shards that received at least one region appear as keys; each
-    position list preserves input order, so scattering a request per shard
-    and writing every shard's results back through its position list
-    reassembles the fleet result in input order.
-    """
-    positions: Dict[int, List[int]] = {}
-    for position, shard in enumerate(shard_assignments(region_ids, num_shards)):
-        positions.setdefault(shard, []).append(position)
-    return positions
+__all__ = ["HashRing"]
 
 
 class HashRing:
@@ -151,8 +110,8 @@ class HashRing:
     def positions(self, keys: Sequence[str]) -> Dict[Hashable, List[int]]:
         """Input positions grouped by owning node: ``{node: [position, ...]}``.
 
-        The ring analogue of :func:`shard_positions` — only nodes owning at
-        least one key appear, and each position list preserves input order.
+        Only nodes owning at least one key appear, and each position list
+        preserves input order.
         """
         positions: Dict[Hashable, List[int]] = {}
         for position, node in enumerate(self.assignments(keys)):

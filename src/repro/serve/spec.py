@@ -1,10 +1,9 @@
 """Picklable tuner specs and one-time weight shipping for serving replicas.
 
-Every serving layer rebuilds the same read-only tuner on the far side of a
-process or machine boundary: :class:`~repro.serve.server.SweepServer` ships
-a spec plus an ``.npz`` weight *path* over a pipe, and
-:class:`~repro.serve.node.NodeServer` receives the spec plus the ``.npz``
-weight *bytes* over a TCP socket.  This module owns the pieces both share:
+Every serving replica rebuilds the same read-only tuner on the far side of
+a process or machine boundary: :class:`~repro.serve.node.NodeServer`
+receives a spec plus the ``.npz`` weight *bytes* over a TCP socket.  This
+module owns the pieces of that shipping:
 
 * :class:`TunerSpec` — everything needed to reconstruct a serving
   :class:`~repro.core.tuner.PnPTuner` (system, objective, model
@@ -59,9 +58,8 @@ def default_start_method() -> str:
     """Replica start method: ``fork`` where available, ``spawn`` otherwise.
 
     ``fork`` is cheap on the Linux CI machines; the one policy is shared by
-    the :class:`~repro.serve.server.SweepServer` worker pool and
-    :class:`~repro.serve.fleet.LocalFleet`'s node subprocesses so the two
-    serving layers never silently diverge.
+    :func:`~repro.serve.server.parallel_map` and
+    :class:`~repro.serve.fleet.LocalFleet`'s node subprocesses.
     """
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 

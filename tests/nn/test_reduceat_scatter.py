@@ -1,22 +1,15 @@
-"""The pure-float32 sorted-segment reduceat scatter schedule.
+"""The sorted-segment schedule behind the runtime's index-ordered scatter.
 
-The schedule (stable argsort + segment boundaries, ``np.add.reduceat``) is an
-opt-in alternative to the flat-bincount float32 path: it accumulates natively
-in single precision instead of taking ``np.bincount``'s float64 round trip.
-It ships disabled by default (profiling showed the bincount round trip is at
-least as fast on this NumPy build — see ``repro/nn/_scatter.py``), so these
-tests select it through the canonical ``scatter_backend("reduceat")`` scope.
-The legacy two-way toggle (``reduceat_scatter`` / ``set_reduceat_scatter``)
-is covered as a *deprecated alias*: it must still work, and it must warn.
+:func:`~repro.nn._scatter.build_segment_schedule` (stable argsort + segment
+boundaries) is what :func:`~repro.nn._scatter.scatter_rows_sum_into` derives
+its round-major schedule from.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import _scatter, precision
+from repro.nn import _scatter
 from repro.nn.data import build_edge_plan
-from repro.nn.rgcn import RGCNConv
-from repro.nn.tensor import Tensor, no_grad
 
 
 @pytest.fixture()
@@ -47,196 +40,18 @@ class TestSegmentSchedule:
         assert schedule.starts.tolist() == [0]
         assert schedule.buckets.tolist() == [0]
 
-
-class TestReduceatKernel:
-    def test_matches_add_at_float32(self, random_scatter):
-        index, data = random_scatter
-        reference = np.zeros((50, 8), dtype=np.float32)
-        np.add.at(reference, index, data)
-        schedule = _scatter.build_segment_schedule(index)
-        with _scatter.scatter_backend("reduceat"):
-            out = _scatter.scatter_rows_sum(data, index, 50, segments=schedule)
-        assert out.dtype == np.float32
-        np.testing.assert_allclose(out, reference, rtol=2e-5, atol=2e-5)
-
-    def test_disabled_by_default(self, random_scatter):
-        index, data = random_scatter
-        schedule = _scatter.build_segment_schedule(index)
-        assert _scatter.scatter_backend_name() == "bincount"
-        via_segments = _scatter.scatter_rows_sum(data, index, 50, segments=schedule)
-        via_bincount = _scatter.scatter_rows_sum(data, index, 50)
-        # Under bincount the segments argument must be ignored entirely.
-        assert (via_segments == via_bincount).all()
-
-    def test_float64_ignores_segments(self, random_scatter):
-        index, data = random_scatter
-        data64 = data.astype(np.float64)
-        schedule = _scatter.build_segment_schedule(index)
-        with _scatter.scatter_backend("reduceat"):
-            out = _scatter.scatter_rows_sum(data64, index, 50, segments=schedule)
-        reference = np.zeros((50, 8), dtype=np.float64)
-        np.add.at(reference, index, data64)
-        # float64 keeps the bit-identical bincount path regardless of backend.
-        assert (out == reference).all()
-
-    def test_empty_bucket_rows_are_zero(self):
-        index = np.array([3, 3, 7], dtype=np.int64)
-        data = np.ones((3, 2), dtype=np.float32)
-        schedule = _scatter.build_segment_schedule(index)
-        with _scatter.scatter_backend("reduceat"):
-            out = _scatter.scatter_rows_sum(data, index, 10, segments=schedule)
-        assert out[3].tolist() == [2.0, 2.0]
-        assert out[7].tolist() == [1.0, 1.0]
-        untouched = np.delete(out, [3, 7], axis=0)
-        assert (untouched == 0).all()
-
-
-class TestDeprecatedToggleAlias:
-    """The PR-3 two-way toggle still works — and warns — as an alias."""
-
-    def test_scope_warns_and_maps_onto_backend(self):
-        assert _scatter.scatter_backend_name() == "bincount"
-        with pytest.deprecated_call(match="set_scatter_backend"):
-            with _scatter.reduceat_scatter(True):
-                assert _scatter.scatter_backend_name() == "reduceat"
-                with pytest.deprecated_call():
-                    with _scatter.reduceat_scatter(False):
-                        assert _scatter.scatter_backend_name() == "bincount"
-                assert _scatter.scatter_backend_name() == "reduceat"
-        assert _scatter.scatter_backend_name() == "bincount"
-
-    def test_setter_warns_and_returns_previous(self):
-        with pytest.deprecated_call(match="set_reduceat_scatter"):
-            previous = _scatter.set_reduceat_scatter(True)
-        assert previous is False and _scatter.scatter_backend_name() == "reduceat"
-        with pytest.deprecated_call():
-            _scatter.set_reduceat_scatter(previous)
-        assert _scatter.scatter_backend_name() == "bincount"
-
-    def test_enabled_probe_tracks_backend(self):
-        # The read-only probe is deprecated in docs but warning-free: it is
-        # called from hot paths and merely reflects the backend switch.
-        assert _scatter.reduceat_scatter_enabled() is False
-        with _scatter.scatter_backend("reduceat"):
-            assert _scatter.reduceat_scatter_enabled() is True
-
-    def test_scope_restores_third_backend(self):
-        # The alias restores whichever backend was active — including one the
-        # two-way API cannot even name.
-        with _scatter.scatter_backend("prealloc"):
-            with pytest.deprecated_call():
-                with _scatter.reduceat_scatter(True):
-                    assert _scatter.scatter_backend_name() == "reduceat"
-            assert _scatter.scatter_backend_name() == "prealloc"
-
-
-class TestAutoCalibration:
-    """``set_reduceat_scatter("auto")``: one-shot cached microcalibration."""
-
-    def test_auto_measures_once_and_caches(self, monkeypatch):
-        # Seed the cache with a known verdict: "auto" must apply it without
-        # re-measuring.
-        monkeypatch.setattr(_scatter, "_AUTO_REDUCEAT", True)
-        with pytest.deprecated_call():
-            previous = _scatter.set_reduceat_scatter("auto")
-        try:
-            assert _scatter.scatter_backend_name() == "reduceat"
-        finally:
-            with pytest.deprecated_call():
-                _scatter.set_reduceat_scatter(previous)
-        monkeypatch.setattr(_scatter, "_AUTO_REDUCEAT", False)
-        with pytest.deprecated_call():
-            previous = _scatter.set_reduceat_scatter("auto")
-        try:
-            assert _scatter.scatter_backend_name() == "bincount"
-        finally:
-            with pytest.deprecated_call():
-                _scatter.set_reduceat_scatter(previous)
-
-    def test_calibration_returns_bool_and_is_cached(self, monkeypatch):
-        monkeypatch.setattr(_scatter, "_AUTO_REDUCEAT", None)
-        verdict = _scatter._calibrate_reduceat(
-            num_rows=2_000, num_buckets=400, channels=8, repeats=1
-        )
-        assert isinstance(verdict, bool)
-        # Cached: a second call ignores (different) arguments entirely.
-        assert (
-            _scatter._calibrate_reduceat(num_rows=1, num_buckets=1, channels=1)
-            is verdict
-        )
-
-    def test_auto_sets_global_and_returns_previous(self, monkeypatch):
-        monkeypatch.setattr(_scatter, "_AUTO_REDUCEAT", None)
-        assert _scatter.scatter_backend_name() == "bincount"
-        with pytest.deprecated_call():
-            previous = _scatter.set_reduceat_scatter("auto")
-        try:
-            assert previous is False
-            expected = "reduceat" if _scatter._AUTO_REDUCEAT else "bincount"
-            assert _scatter.scatter_backend_name() == expected
-        finally:
-            with pytest.deprecated_call():
-                _scatter.set_reduceat_scatter(previous)
-
-    def test_rejects_unknown_strings(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ValueError):
-                _scatter.set_reduceat_scatter("always")
-
-
-class TestPlannedLayerWithReduceat:
-    def _layer_and_plan(self):
-        rng = np.random.default_rng(0)
-        num_nodes, num_edges, relations, channels = 60, 240, 3, 8
-        edge_index = rng.integers(0, num_nodes, size=(2, num_edges))
-        edge_type = rng.integers(0, relations, size=num_edges)
-        batch = np.sort(rng.integers(0, 4, size=num_nodes))
-        with precision.autocast("float32"):
-            layer = RGCNConv(channels, channels, relations, rng=np.random.default_rng(0))
-            plan = build_edge_plan(edge_index, edge_type, batch, num_nodes, 4, relations)
-            x = Tensor(rng.standard_normal((num_nodes, channels)), requires_grad=True)
-        return layer, plan, x, edge_index, edge_type
-
-    def test_forward_close_to_bincount_path(self):
-        layer, plan, x, edge_index, edge_type = self._layer_and_plan()
-        layer.eval()
-        with no_grad():
-            with _scatter.scatter_backend("bincount"):
-                bincount_out = layer(x, edge_index, edge_type, plan=plan).data
-            with _scatter.scatter_backend("reduceat"):
-                reduceat_out = layer(x, edge_index, edge_type, plan=plan).data
-        assert reduceat_out.dtype == np.float32
-        np.testing.assert_allclose(reduceat_out, bincount_out, rtol=2e-4, atol=2e-4)
-
-    def test_backward_close_to_bincount_path(self):
-        layer, plan, x, edge_index, edge_type = self._layer_and_plan()
-        grads = {}
-        for backend in ("bincount", "reduceat"):
-            x.grad = None
-            for parameter in layer.parameters():
-                parameter.grad = None
-            with _scatter.scatter_backend(backend):
-                out = layer(x, edge_index, edge_type, plan=plan)
-                out.sum().backward()
-            grads[backend] = (
-                x.grad.copy(),
-                [p.grad.copy() for p in layer.parameters()],
-            )
-        x_binc, params_binc = grads["bincount"]
-        x_red, params_red = grads["reduceat"]
-        assert x_red.dtype == np.float32
-        np.testing.assert_allclose(x_red, x_binc, rtol=2e-3, atol=2e-3)
-        for got, expected in zip(params_red, params_binc):
-            np.testing.assert_allclose(got, expected, rtol=2e-3, atol=2e-3)
-
     def test_plan_memoises_segment_schedules(self):
-        _, plan, *_ = self._layer_and_plan()
+        rng = np.random.default_rng(0)
+        edge_index = rng.integers(0, 60, size=(2, 240))
+        edge_type = rng.integers(0, 3, size=240)
+        batch = np.sort(rng.integers(0, 4, size=60))
+        plan = build_edge_plan(
+            edge_index, edge_type, batch, 60, 4, 3, dtype=np.float32
+        )
         first = plan.scatter_segments(0)
         assert plan.scatter_segments(0) is first
         pool_first = plan.pool_segments()
         assert plan.pool_segments() is pool_first
-        # A derived float64 twin shares the schedule cache by reference.
-        assert plan.dtype == np.float32
 
     def test_with_dtype_shares_segment_cache(self):
         rng = np.random.default_rng(1)

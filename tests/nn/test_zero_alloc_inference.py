@@ -1,11 +1,10 @@
-"""The zero-allocation serving hot path (prealloc backend + arena plan).
+"""The zero-allocation serving hot path (index-ordered scatter + arena plan).
 
-The contract under test: under the ``"prealloc"`` scatter backend a warm
-``predict`` through the compiled :class:`InferenceProgram` allocates no
-numpy array — every intermediate lands in the memory plan's arena slabs or
-a head workspace — while each backend stays bit-identical to ``np.add.at``
-at float64 (and ``"prealloc"`` at float32 too, being strictly
-index-ordered).
+The contract under test: a warm ``predict`` through the compiled
+:class:`InferenceProgram` allocates no numpy array — every intermediate
+lands in the memory plan's arena slabs or a head workspace — while its
+scatter kernel stays bit-identical to ``np.add.at`` at float64 and float32
+(and to the autograd path's bincount kernel at float64).
 
 Allocation is asserted through the tracemalloc *peak* of a single warm
 call: transient buffers are freed before any snapshot could see them, so
@@ -30,7 +29,7 @@ from repro.graphs.encoder import GraphEncoder
 from repro.graphs.programl import build_flow_graph
 from repro.graphs.vocabulary import build_default_vocabulary
 from repro.ir.outline import extract_outlined_regions
-from repro.nn import _scatter
+from repro.nn import inference
 from repro.nn._scatter import (
     ScatterWorkspace,
     build_segment_schedule,
@@ -133,13 +132,12 @@ class TestZeroAllocationWarmPredict:
     ):
         model = _model(vocabulary, dtype)
         program = model.compile_inference()
-        with _scatter.scatter_backend("prealloc"):
-            for sample in suite_samples:
-                batch = collate_graphs([sample])
-                peak = _warm_predict_peak_bytes(program, batch)
-                assert peak < PEAK_CEILING_BYTES, (
-                    f"{sample.region_id}: warm predict peaked at {peak} bytes"
-                )
+        for sample in suite_samples:
+            batch = collate_graphs([sample])
+            peak = _warm_predict_peak_bytes(program, batch)
+            assert peak < PEAK_CEILING_BYTES, (
+                f"{sample.region_id}: warm predict peaked at {peak} bytes"
+            )
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_batched_predict_stays_under_peak_ceiling(
@@ -148,8 +146,7 @@ class TestZeroAllocationWarmPredict:
         model = _model(vocabulary, dtype)
         program = model.compile_inference()
         batch = collate_graphs(suite_samples)
-        with _scatter.scatter_backend("prealloc"):
-            peak = _warm_predict_peak_bytes(program, batch)
+        peak = _warm_predict_peak_bytes(program, batch)
         assert peak < BATCHED_PEAK_CEILING_BYTES
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -158,21 +155,26 @@ class TestZeroAllocationWarmPredict:
         program = model.compile_inference()
         batches = [collate_graphs([s]) for s in suite_samples[:8]]
         batches.append(collate_graphs(suite_samples))
-        with _scatter.scatter_backend("prealloc"):
-            assert _numpy_blocks_retained(program, batches) == 0
+        assert _numpy_blocks_retained(program, batches) == 0
 
-    def test_peak_probe_detects_allocating_backend(self, vocabulary, suite_samples):
-        """Canary: the same probe sees the allocating backend's temporaries."""
+    def test_peak_probe_detects_allocating_backend(
+        self, vocabulary, suite_samples, monkeypatch
+    ):
+        """Canary: the same probe sees an allocating scatter's temporaries."""
         model = _model(vocabulary, "float64")
         program = model.compile_inference()
         biggest = max(
             suite_samples, key=lambda s: collate_graphs([s]).node_types.shape[0]
         )
         batch = collate_graphs([biggest])
-        with _scatter.scatter_backend("prealloc"):
-            lean = _warm_predict_peak_bytes(program, batch)
-        with _scatter.scatter_backend("bincount"):
-            fat = _warm_predict_peak_bytes(program, batch)
+        lean = _warm_predict_peak_bytes(program, batch)
+
+        def allocating_scatter(out, data, index, segments=None, workspace=None):
+            out[...] = scatter_rows_sum(data, index, out.shape[0])
+            return out
+
+        monkeypatch.setattr(inference, "scatter_rows_sum_into", allocating_scatter)
+        fat = _warm_predict_peak_bytes(model.compile_inference(), batch)
         assert fat > 4 * max(lean, 1)
         assert fat > PEAK_CEILING_BYTES  # a real temporary trips the ceiling
 
@@ -229,30 +231,16 @@ class TestBackendEquivalence:
         scatter_rows_sum_into(owned, data, index, segments=segments, workspace=workspace)
         assert owned.tobytes() == auto.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_allocating_front_door_matches_out_parameter_form(self, dtype):
-        rng = np.random.default_rng(2)
-        index = rng.integers(0, 30, size=300).astype(np.intp)
-        data = rng.standard_normal((300, 8)).astype(dtype)
-        segments = build_segment_schedule(index)
-        out = np.empty((30, 8), dtype=dtype)
-        scatter_rows_sum_into(out, data, index, segments=segments)
-        with _scatter.scatter_backend("prealloc"):
-            allocated = scatter_rows_sum(data, index, 30, segments=segments)
-        assert allocated.tobytes() == out.tobytes()
-
     def test_float64_bitwise_identical_across_all_backends(self):
         rng = np.random.default_rng(3)
         index = rng.integers(0, 80, size=600).astype(np.intp)
         data = rng.standard_normal((600, 12))
-        segments = build_segment_schedule(index)
-        results = {}
-        for backend in _scatter.SCATTER_BACKENDS:
-            with _scatter.scatter_backend(backend):
-                results[backend] = scatter_rows_sum(
-                    data, index, 80, segments=segments
-                ).tobytes()
-        assert len(set(results.values())) == 1
+        reference = np.zeros((80, 12))
+        np.add.at(reference, index, data)
+        out = np.empty((80, 12))
+        scatter_rows_sum_into(out, data, index, segments=build_segment_schedule(index))
+        bincount = scatter_rows_sum(data, index, 80)
+        assert bincount.tobytes() == out.tobytes() == reference.tobytes()
 
     def test_non_float_and_1d_fall_back_to_add_at(self):
         rng = np.random.default_rng(4)
@@ -324,45 +312,3 @@ class TestMemoryPlan:
         assert stats["arena_bytes"] == 0
         assert stats["head_workspaces"] == 0
         assert np.array_equal(np.array(program.forward_logits(batch)), before)
-
-
-class TestBackendSelection:
-    def test_auto_adopts_cached_calibration(self, monkeypatch):
-        monkeypatch.setattr(_scatter, "_AUTO_BACKEND", "prealloc")
-        previous = _scatter.set_scatter_backend("auto")
-        try:
-            assert _scatter.scatter_backend_name() == "prealloc"
-        finally:
-            _scatter.set_scatter_backend(previous)
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="set_scatter_backend"):
-            _scatter.set_scatter_backend("laminated")
-
-    def test_legacy_reduceat_toggle_maps_onto_backend(self):
-        original = _scatter.scatter_backend_name()
-        try:
-            _scatter.set_scatter_backend("bincount")
-            with pytest.deprecated_call(match="set_scatter_backend"):
-                assert not _scatter.set_reduceat_scatter(True)
-            assert _scatter.scatter_backend_name() == "reduceat"
-            assert _scatter.reduceat_scatter_enabled()
-            with pytest.deprecated_call():
-                # previous was reduceat
-                assert _scatter.set_reduceat_scatter(False)
-            assert _scatter.scatter_backend_name() == "bincount"
-            assert not _scatter.reduceat_scatter_enabled()
-        finally:
-            _scatter.set_scatter_backend(original)
-
-    def test_segments_active_matrix(self):
-        with _scatter.scatter_backend("bincount"):
-            assert not _scatter.segments_active(np.float64)
-            assert not _scatter.segments_active(np.float32)
-        with _scatter.scatter_backend("reduceat"):
-            assert not _scatter.segments_active(np.float64)
-            assert _scatter.segments_active(np.float32)
-        with _scatter.scatter_backend("prealloc"):
-            assert _scatter.segments_active(np.float64)
-            assert _scatter.segments_active(np.float32)
-            assert not _scatter.segments_active(np.int64)

@@ -111,7 +111,13 @@ class TestChaosProxy:
             info = _ping_through(proxy)
             assert info["registered"] is False
             assert info["protocol"] == rpc.PROTOCOL_VERSION
+            # The proxy counts a reply after its sendall returns, which can
+            # be just after the client already read it.
+            deadline = time.monotonic() + 2.0
             stats = proxy.stats()
+            while stats["frames"]["reply"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+                stats = proxy.stats()
             assert stats["connections"] == 1
             assert stats["faults_total"] == 0
             assert stats["frames"]["request"] >= 1

@@ -1,7 +1,7 @@
 """The distilled micro tier through the serving stack, end to end.
 
-Registering a tuner *with* a distilled blob upgrades every replica — worker
-pool, TCP node, fleet fallback — to a
+Registering a tuner *with* a distilled blob upgrades every replica — TCP
+node, fleet fallback — to a
 :class:`~repro.serve.predictor.TieredPredictor`: in-family regions are
 served by the dense micro tier (tier counters prove it), out-of-family
 regions fall back to the GNN path byte-identically, and rolling weight
@@ -15,7 +15,7 @@ from repro.core.training import TrainingConfig
 from repro.core.tuner import PnPTuner
 from repro.distill.generate import perturb_out_of_family
 from repro.distill.student import StudentConfig, distill
-from repro.serve import LocalFleet, SweepServer, TieredPredictor
+from repro.serve import LocalFleet, TieredPredictor
 
 CAPS = [40.0, 85.0]
 
@@ -58,50 +58,6 @@ def tiered_reference(fitted_tuner, distilled_blob):
     from repro.serve.predictor import tiered_predictor
 
     return tiered_predictor(fitted_tuner, DistilledModel.from_blob(distilled_blob))
-
-
-class TestSweepServerMicroTier:
-    def test_workers_serve_the_tiered_path(
-        self, fitted_tuner, distilled_blob, tiered_reference, small_builder
-    ):
-        regions = small_builder.regions()
-        with SweepServer.from_tuner(
-            fitted_tuner, num_workers=2, distilled=distilled_blob
-        ) as pool:
-            served = pool.sweep(regions, CAPS)
-            stats = pool.cache_stats()
-        expected = tiered_reference.predict_sweep_many(regions, CAPS)
-        assert served == expected
-        tiers = [shard["tier"] for shard in stats]
-        assert all(tier["micro_families"] == 4 for tier in tiers)
-        assert sum(tier["micro_hits"] for tier in tiers) == len(regions)
-
-    def test_workers_without_blob_report_zero_tier(
-        self, fitted_tuner, small_builder
-    ):
-        with SweepServer.from_tuner(fitted_tuner, num_workers=1) as pool:
-            pool.sweep(small_builder.regions()[:1], CAPS)
-            stats = pool.cache_stats()
-        for shard in stats:
-            assert shard["tier"] == {
-                "micro_hits": 0,
-                "fallbacks": 0,
-                "micro_families": 0,
-            }
-
-    def test_out_of_family_falls_back_byte_identically(
-        self, fitted_tuner, distilled_blob, small_builder
-    ):
-        outside = [perturb_out_of_family(r) for r in small_builder.regions()[:2]]
-        with SweepServer.from_tuner(
-            fitted_tuner, num_workers=2, distilled=distilled_blob
-        ) as pool:
-            served = pool.sweep(outside, CAPS)
-            stats = pool.cache_stats()
-        fitted_tuner._embedding_cache.clear()
-        assert served == [fitted_tuner.predict_sweep(r, CAPS) for r in outside]
-        assert sum(s["tier"]["fallbacks"] for s in stats) == len(outside)
-        assert sum(s["tier"]["micro_hits"] for s in stats) == 0
 
 
 class TestFleetMicroTier:

@@ -165,41 +165,6 @@ class TestHardenedFrames:
             rpc.recv_message(right)
 
 
-class TestLegacyCompat:
-    def test_legacy_roundtrip_behind_flag(self, pair):
-        left, right = pair
-        rpc.send_message(left, {"verb": "ping"}, legacy=True)
-        payload, version = rpc.recv_frame(right, allow_legacy=True)
-        assert payload == {"verb": "ping"}
-        assert version == rpc.LEGACY_PROTOCOL_VERSION == 1
-
-    def test_hardened_frames_still_pass_with_compat_enabled(self, pair):
-        left, right = pair
-        rpc.send_message(left, "modern")
-        payload, version = rpc.recv_frame(right, allow_legacy=True)
-        assert payload == "modern"
-        assert version == rpc.PROTOCOL_VERSION
-
-    def test_legacy_absurd_length_still_fails_fast(self, pair):
-        left, right = pair
-        left.sendall(struct.pack(">Q", rpc.MAX_MESSAGE_BYTES + 1))
-        with pytest.raises(rpc.RpcCorruption, match="corrupt"):
-            rpc.recv_message(right, allow_legacy=True)
-
-    def test_request_speaks_legacy_end_to_end(self, pair):
-        left, right = pair
-
-        def serve():
-            payload, version = rpc.recv_frame(right, allow_legacy=True)
-            assert version == rpc.LEGACY_PROTOCOL_VERSION
-            rpc.send_message(right, ("ok", {"echo": payload}), legacy=True)
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert rpc.request(left, ("ping",), legacy=True) == {"echo": ("ping",)}
-        thread.join(timeout=5.0)
-
-
 class TestReceiveFuzz:
     """Seeded garbage never unpickles, never hangs — it raises, typed.
 

@@ -1,11 +1,11 @@
-"""The deterministic content-hash sharding shared by every serving layer."""
+"""The deterministic consistent-hash sharding of the serving fleet."""
 
 import subprocess
 import sys
 
 import pytest
 
-from repro.serve import HashRing, shard_assignments, shard_for_region, shard_positions
+from repro.serve import HashRing
 
 
 def _benchsuite_region_ids():
@@ -16,42 +16,6 @@ def _benchsuite_region_ids():
         for regions in regions_by_application().values()
         for region in regions
     ]
-
-
-class TestShardForRegion:
-    def test_matches_assignments(self):
-        ids = [f"app/kernel.{i}" for i in range(16)]
-        assert shard_assignments(ids, 3) == [shard_for_region(rid, 3) for rid in ids]
-
-    def test_stable_across_calls(self):
-        assert shard_for_region("gemm/kernel.0", 4) == shard_for_region("gemm/kernel.0", 4)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            shard_for_region("a", 0)
-
-
-class TestShardPositions:
-    def test_partitions_all_positions_in_order(self):
-        ids = [f"app/kernel.{i}" for i in range(20)]
-        groups = shard_positions(ids, 4)
-        flattened = sorted(p for members in groups.values() for p in members)
-        assert flattened == list(range(len(ids)))
-        for members in groups.values():
-            assert members == sorted(members)
-
-    def test_groups_follow_the_assignment(self):
-        ids = [f"app/kernel.{i}" for i in range(12)]
-        assignments = shard_assignments(ids, 3)
-        groups = shard_positions(ids, 3)
-        for shard, members in groups.items():
-            assert all(assignments[p] == shard for p in members)
-
-    def test_single_shard_gets_everything(self):
-        assert shard_positions(["a", "b", "c"], 1) == {0: [0, 1, 2]}
-
-    def test_empty_input(self):
-        assert shard_positions([], 4) == {}
 
 
 class TestHashRingMembership:

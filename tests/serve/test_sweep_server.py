@@ -1,191 +1,6 @@
-"""Process-sharded sweep serving equivalence and lifecycle tests.
+"""The deterministic process-pool map the experiment runners shard CV folds with."""
 
-The server's contract: sharded, worker-pool serving is byte-identical to
-serial per-region ``predict_sweep`` on the parent tuner — the shard
-assignment is deterministic, each worker rebuilds the tuner from the
-one-time ``.npz`` weight round-trip, and per-worker embedding caches warm
-up across calls.
-"""
-
-import threading
-
-import pytest
-
-from repro.core.model import ModelConfig
-from repro.core.training import TrainingConfig
-from repro.core.tuner import PnPTuner
-from repro.serve import SweepServer, parallel_map, shard_assignments
-
-CAPS = [40.0, 55.0, 70.0, 85.0]
-
-
-@pytest.fixture(scope="module")
-def fitted_tuner(small_database, small_builder):
-    config = ModelConfig(
-        vocabulary_size=len(small_builder.vocabulary),
-        num_classes=small_database.search_space.num_omp_configurations,
-        aux_dim=1,
-        seed=0,
-    )
-    tuner = PnPTuner(
-        system="haswell",
-        objective="time",
-        model_config=config,
-        training_config=TrainingConfig(epochs=2, seed=0),
-        database=small_database,
-        seed=0,
-    )
-    tuner.builder = small_builder
-    tuner.fit(tuner.build_training_samples())
-    return tuner
-
-
-@pytest.fixture(scope="module")
-def server(fitted_tuner):
-    with SweepServer.from_tuner(fitted_tuner, num_workers=2) as pool:
-        yield pool
-
-
-class TestShardAssignment:
-    def test_deterministic_and_stable(self):
-        ids = [f"app/kernel.{i}" for i in range(32)]
-        first = shard_assignments(ids, 4)
-        assert shard_assignments(ids, 4) == first
-        assert all(0 <= shard < 4 for shard in first)
-        # The content hash spreads a realistic id population over shards.
-        assert len(set(first)) > 1
-
-    def test_single_shard(self):
-        assert shard_assignments(["a", "b"], 1) == [0, 0]
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            shard_assignments(["a"], 0)
-
-
-class TestShardedEquivalence:
-    def test_byte_identical_to_serial_sweep(self, server, fitted_tuner, small_builder):
-        regions = small_builder.regions()
-        sharded = server.sweep(regions, CAPS)
-        fitted_tuner._embedding_cache.clear()
-        serial = [fitted_tuner.predict_sweep(region, CAPS) for region in regions]
-        assert sharded == serial
-
-    def test_float32_byte_identical_to_serial(self, server, fitted_tuner, small_builder):
-        regions = small_builder.regions()
-        sharded = server.sweep(regions, CAPS, dtype="float32")
-        fitted_tuner._embedding_cache.clear()
-        serial = [
-            fitted_tuner.predict_sweep(region, CAPS, dtype="float32")
-            for region in regions
-        ]
-        assert sharded == serial
-
-    def test_input_order_preserved(self, server, small_builder):
-        regions = small_builder.regions()
-        reversed_results = server.sweep(list(reversed(regions)), CAPS)
-        forward_results = server.sweep(regions, CAPS)
-        assert reversed_results == list(reversed(forward_results))
-
-    def test_caches_warm_across_calls(self, server, small_builder):
-        regions = small_builder.regions()
-        server.clear_caches()
-        server.sweep(regions, CAPS)
-        stats_cold = server.cache_stats()
-        server.sweep(regions, CAPS)
-        stats_warm = server.cache_stats()
-        assert sum(s["size"] for s in stats_cold) == len(regions)
-        # The second pass must be all hits: no new misses on any worker.
-        assert sum(s["misses"] for s in stats_warm) == sum(
-            s["misses"] for s in stats_cold
-        )
-        assert sum(s["hits"] for s in stats_warm) > sum(s["hits"] for s in stats_cold)
-
-    def test_empty_regions(self, server):
-        assert server.sweep([], CAPS) == []
-
-
-class TestLifecycle:
-    def test_close_is_idempotent_and_final(self, fitted_tuner):
-        pool = SweepServer.from_tuner(fitted_tuner, num_workers=1)
-        weights_path = pool._spec.weights_path
-        import os
-
-        assert os.path.exists(weights_path)
-        pool.close()
-        pool.close()
-        assert not os.path.exists(weights_path)
-        with pytest.raises(RuntimeError):
-            pool.sweep([], CAPS)
-
-    def test_worker_error_is_reported(self, server, small_builder):
-        region = small_builder.regions()[0]
-        with pytest.raises(RuntimeError, match="sweep worker"):
-            # power_caps entries must be numbers; a string blows up inside
-            # the worker, which must report (not hang) and keep serving.
-            server.sweep([region], ["not-a-cap"])
-        assert server.sweep([region], CAPS)[0]
-
-    def test_stats_and_clear_after_close_fail_cleanly(self, fitted_tuner):
-        pool = SweepServer.from_tuner(fitted_tuner, num_workers=1)
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.cache_stats()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.clear_caches()
-
-    def test_requires_fitted_tuner(self, small_database, small_builder):
-        tuner = PnPTuner(
-            system="haswell",
-            objective="time",
-            training_config=TrainingConfig(epochs=1, seed=0),
-            database=small_database,
-            seed=0,
-        )
-        with pytest.raises(RuntimeError):
-            SweepServer.from_tuner(tuner, num_workers=1)
-
-
-class TestWorkerDeath:
-    """A worker dying mid-request must raise clearly, never hang the pipe."""
-
-    def test_death_before_request_raises(self, fitted_tuner, small_builder):
-        regions = small_builder.regions()
-        with SweepServer.from_tuner(fitted_tuner, num_workers=1) as pool:
-            pool._processes[0].kill()
-            pool._processes[0].join(timeout=5.0)
-            with pytest.raises(RuntimeError, match="died mid-request"):
-                pool.sweep(regions, CAPS)
-
-    def test_death_mid_request_raises(self, fitted_tuner, small_builder):
-        regions = small_builder.regions()
-        with SweepServer.from_tuner(fitted_tuner, num_workers=2) as pool:
-            # The request is dispatched to both shards; one worker is shot
-            # while (possibly) serving it.  The parent must surface the
-            # death instead of blocking forever on the dead worker's pipe.
-            victim = pool._processes[0]
-            killer = threading.Timer(0.05, victim.kill)
-            killer.start()
-            try:
-                with pytest.raises(RuntimeError, match="sweep worker"):
-                    for _ in range(50):  # long enough for the timer to fire
-                        pool.sweep(regions, CAPS)
-            finally:
-                killer.cancel()
-
-    def test_stats_after_worker_death_raise(self, fitted_tuner):
-        with SweepServer.from_tuner(fitted_tuner, num_workers=1) as pool:
-            pool._processes[0].kill()
-            pool._processes[0].join(timeout=5.0)
-            with pytest.raises(RuntimeError, match="died mid-request"):
-                pool.cache_stats()
-
-    def test_close_after_worker_death_is_clean(self, fitted_tuner):
-        pool = SweepServer.from_tuner(fitted_tuner, num_workers=1)
-        pool._processes[0].kill()
-        pool._processes[0].join(timeout=5.0)
-        pool.close()  # must not raise or hang
-        assert pool._closed
+from repro.serve import parallel_map
 
 
 def _square(value: int) -> int:
