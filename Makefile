@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint coverage chaos bench-smoke bench-engine shuffle-study bench
+.PHONY: test lint coverage chaos bench-smoke perf-smoke bench-engine shuffle-study bench
 
 # Tier-1 verification: the full unit test suite.
 test:
@@ -47,6 +47,14 @@ coverage:
 # `perf-trajectory` artifact.
 bench-smoke:
 	$(PYTHON) -m benchmarks.bench_engine --smoke
+
+# End-to-end smoke of the paper's experiment (CI `perf` job): the
+# benchmark's tune_suite_cv workload (benchmarks/perf) builds the 68-region
+# measurement database, runs the 3-fold cross-validated PnP selections and
+# evaluates them (one timed repetition).  Exits 1 when CV repetitions
+# disagree or a fresh re-run of the first fold changes its selections.
+perf-smoke:
+	$(PYTHON) -m benchmarks.perf --workload tune_suite_cv --seed 0 --seconds 1
 
 # Full engine microbenchmarks with the headline before/after numbers.
 bench-engine:

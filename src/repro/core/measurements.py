@@ -187,9 +187,11 @@ def get_measurement_database(
 ) -> MeasurementDatabase:
     """Shared per-process measurement database for ``system``.
 
-    The exhaustive sweep is the dominant cost of every experiment, so tests,
+    Every experiment labels its regions by sweeping the whole search space
+    (34,544 simulated executions for the 68-region suite), so tests,
     benchmarks and examples share one database per (system, seed, noise)
-    triple.  ``regions`` defaults to the full 68-region benchmark suite.
+    triple and pay for that sweep once per process.  ``regions`` defaults to
+    the full 68-region benchmark suite.
     """
     key = (system, seed, noise_fraction)
     if key not in _DATABASE_CACHE:

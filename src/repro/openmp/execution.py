@@ -84,7 +84,10 @@ class ExecutionEngine:
         self.machine = machine
         # Schedule outcomes depend only on (region, threads, schedule, chunk),
         # not on the power cap or trial, so they are memoised across the
-        # 508-point sweeps the tuners and the dataset builder perform.
+        # 508-point sweeps the tuners and the dataset builder perform.  The
+        # key is the region's content fingerprint, not its id: a region
+        # re-registered under a known id with changed characteristics must
+        # not be served the old region's schedule.
         self._schedule_cache: dict = {}
 
     # ------------------------------------------------------------------ API
@@ -187,7 +190,7 @@ class ExecutionEngine:
         uses_smt: bool,
     ) -> tuple:
         spec = self.machine.processor
-        cache_key = (region.region_id, config.as_tuple())
+        cache_key = (region.fingerprint(), config.as_tuple())
         schedule = self._schedule_cache.get(cache_key)
         if schedule is None:
             schedule = simulate_schedule(region, config, seed=self.machine.seed)

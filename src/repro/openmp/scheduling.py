@@ -10,10 +10,20 @@ cost, but imbalance when iteration costs vary systematically).  Dynamic
 scheduling assigns each chunk to the first idle thread (good balance, one
 dispatch per chunk).  Guided scheduling starts with large chunks and shrinks
 them geometrically.
+
+The assignment rule: under dynamic and guided scheduling each chunk, in
+issue order, goes to the earliest-finishing thread — the one with the least
+work so far — and the lowest thread index wins a tie.  A heap of ``(load,
+thread)`` pairs finds that thread without scanning every load; static
+round-robin sums each thread's chunks with one ``np.bincount``.  Both make
+the same additions in the same order as a per-chunk loop over the threads'
+loads, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -74,6 +84,20 @@ def _iteration_costs(region: RegionCharacteristics, sample_size: int, seed: int)
     return np.maximum(costs, 1e-3)
 
 
+@functools.lru_cache(maxsize=4)
+def _cumulative_costs(region: RegionCharacteristics, seed: int) -> np.ndarray:
+    """Read-only cumulative cost sample of ``region``, starting at 0.
+
+    Keyed by the region's content (the frozen dataclass) and the seed.  The
+    engine simulates one region's configurations back to back, so a few
+    entries serve every repeat while the memo stays small.
+    """
+    costs = _iteration_costs(region, int(min(region.iterations, 4096)), seed)
+    cumulative = np.concatenate([[0.0], np.cumsum(costs)])
+    cumulative.flags.writeable = False
+    return cumulative
+
+
 def _chunk_layout(
     schedule: ScheduleKind, iterations: int, chunk: int, threads: int
 ) -> Tuple[int, np.ndarray]:
@@ -104,21 +128,20 @@ def _chunk_layout(
     sizes_list = []
     remaining = iterations
     while remaining > 0:
-        size = max(chunk, int(np.ceil(remaining / threads)))
-        size = min(size, remaining)
+        size = min(max(chunk, -(-remaining // threads)), remaining)
         sizes_list.append(size)
         remaining -= size
     sizes = np.array(sizes_list, dtype=np.int64)
     return len(sizes_list), sizes
 
 
-def _chunk_costs(sizes: np.ndarray, costs: np.ndarray, iterations: int) -> np.ndarray:
-    """Total relative cost of each chunk given the per-iteration cost sample."""
+def _chunk_costs(sizes: np.ndarray, cumulative: np.ndarray, iterations: int) -> np.ndarray:
+    """Total relative cost of each chunk given the cumulative cost sample."""
     # Map chunk boundaries onto the (possibly smaller) cost sample.
+    samples = len(cumulative) - 1
     boundaries = np.concatenate([[0], np.cumsum(sizes)]).astype(np.float64)
-    scaled = boundaries / iterations * len(costs)
-    cumulative = np.concatenate([[0.0], np.cumsum(costs)])
-    positions = np.clip(scaled, 0, len(costs))
+    scaled = boundaries / iterations * samples
+    positions = np.clip(scaled, 0, samples)
     # Linear interpolation of the cumulative cost at fractional positions.
     interp = np.interp(positions, np.arange(len(cumulative)), cumulative)
     chunk_cost = np.diff(interp)
@@ -141,21 +164,22 @@ def simulate_schedule(
     iterations = region.iterations
     chunk = config.effective_chunk(iterations)
     num_chunks, sim_sizes = _chunk_layout(config.schedule, iterations, chunk, threads)
+    chunk_cost = _chunk_costs(sim_sizes, _cumulative_costs(region, seed), iterations)
 
-    sample_size = int(min(iterations, 4096))
-    costs = _iteration_costs(region, sample_size, seed)
-    chunk_cost = _chunk_costs(sim_sizes, costs, iterations)
-
-    loads = np.zeros(threads)
     if config.schedule == ScheduleKind.STATIC:
         # Chunks are assigned round-robin in issue order.
-        for index, cost in enumerate(chunk_cost):
-            loads[index % threads] += cost
+        owners = np.arange(len(chunk_cost)) % threads
+        loads = np.bincount(owners, weights=chunk_cost, minlength=threads)
         dispatches = 0
     else:
         # Dynamic and guided: next chunk goes to the earliest-finishing thread.
-        for cost in chunk_cost:
-            loads[int(np.argmin(loads))] += cost
+        heap = [(0.0, thread) for thread in range(threads)]  # sorted: a valid heap
+        for cost in chunk_cost.tolist():
+            load, thread = heap[0]
+            heapq.heapreplace(heap, (load + cost, thread))
+        loads = np.zeros(threads)
+        for load, thread in heap:
+            loads[thread] = load
         dispatches = num_chunks
 
     total = loads.sum()

@@ -1,11 +1,15 @@
 """Tests for the measurement database (oracle sweeps, labels, caching)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.measurements import MeasurementDatabase, get_measurement_database
 from repro.core.search_space import SearchSpace
 from repro.hw.machine import Machine
 from repro.benchsuite.registry import get_region
+from repro.openmp.config import OpenMPConfig, ScheduleKind
+from repro.openmp.region import ImbalancePattern
 
 
 class TestMeasurementDatabase:
@@ -72,6 +76,30 @@ class TestMeasurementDatabase:
         assert "mvt/kernel_mvt" in small_database.region_ids
         result = small_database.default_result("mvt/kernel_mvt", 85.0)
         assert result.time_s > 0
+
+    def test_reregistered_region_measures_like_a_fresh_database(self):
+        # The engine memoises schedules across caps; a known id re-registered
+        # with changed characteristics must not be served the old schedule.
+        region = get_region("gemm/kernel_gemm")
+        changed = replace(
+            region,
+            iterations=region.iterations // 50,
+            iteration_cost_cv=0.8,
+            imbalance_pattern=ImbalancePattern.LINEAR,
+        )
+        config = OpenMPConfig(8, ScheduleKind.DYNAMIC, 64)
+
+        def database(regions):
+            machine = Machine.named("haswell", seed=0)
+            return MeasurementDatabase(machine, SearchSpace("haswell"), regions)
+
+        reregistered = database([region])
+        reregistered.measure(region.region_id, config, 60.0)
+        reregistered.add_region(changed)
+        fresh = database([changed])
+        assert reregistered.measure(region.region_id, config, 60.0) == fresh.measure(
+            region.region_id, config, 60.0
+        )
 
 
 class TestSharedDatabaseFactory:

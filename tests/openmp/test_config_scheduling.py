@@ -1,13 +1,27 @@
 """Tests for OpenMP configurations and the loop-scheduling simulator."""
 
+import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.benchsuite.registry import get_region
+from repro.benchsuite.registry import all_regions, get_region
+from repro.core.measurements import MeasurementDatabase
+from repro.core.search_space import SearchSpace
+from repro.hw.machine import Machine
+from repro.openmp import execution
 from repro.openmp.config import OpenMPConfig, ScheduleKind, default_config
 from repro.openmp.region import ImbalancePattern, RegionCharacteristics
-from repro.openmp.scheduling import simulate_schedule
+from repro.openmp.scheduling import (
+    ScheduleOutcome,
+    _chunk_costs,
+    _chunk_layout,
+    _cumulative_costs,
+    simulate_schedule,
+)
+
+SUITE_REGIONS = {region.region_id: region for region in all_regions()}
 
 
 def make_region(**overrides):
@@ -23,6 +37,37 @@ def make_region(**overrides):
     )
     base.update(overrides)
     return RegionCharacteristics(**base)
+
+
+def reference_schedule(region, config, seed=0):
+    """The per-chunk loops ``simulate_schedule`` must match bit for bit.
+
+    Static chunks are added to ``loads[index % threads]`` one by one; each
+    dynamic or guided chunk goes to ``loads.argmin()``, the first
+    least-loaded thread.  The cost sample is rebuilt, bypassing the memo.
+    """
+    threads = max(1, config.num_threads)
+    iterations = region.iterations
+    chunk = config.effective_chunk(iterations)
+    num_chunks, sizes = _chunk_layout(config.schedule, iterations, chunk, threads)
+    chunk_cost = _chunk_costs(sizes, _cumulative_costs.__wrapped__(region, seed), iterations)
+    loads = np.zeros(threads)
+    if config.schedule == ScheduleKind.STATIC:
+        for index, cost in enumerate(chunk_cost):
+            loads[index % threads] += cost
+        dispatches = 0
+    else:
+        for cost in chunk_cost:
+            loads[int(loads.argmin())] += cost
+        dispatches = num_chunks
+    total = loads.sum()
+    imbalance = 1.0 if total <= 0 else float(loads.max() / (total / threads))
+    return ScheduleOutcome(
+        imbalance_factor=max(imbalance, 1.0),
+        num_dispatches=dispatches,
+        num_chunks=num_chunks,
+        chunk_size=chunk,
+    )
 
 
 class TestOpenMPConfig:
@@ -107,7 +152,9 @@ class TestScheduleSimulation:
     )
     def test_invariants(self, threads, schedule, chunk, iterations, cv, pattern):
         region = make_region(iterations=iterations, iteration_cost_cv=cv, imbalance_pattern=pattern)
-        outcome = simulate_schedule(region, OpenMPConfig(threads, schedule, chunk))
+        config = OpenMPConfig(threads, schedule, chunk)
+        outcome = simulate_schedule(region, config)
+        assert outcome == reference_schedule(region, config)
         assert outcome.imbalance_factor >= 1.0
         # A single thread is always perfectly "balanced".
         if threads == 1:
@@ -118,6 +165,56 @@ class TestScheduleSimulation:
         else:
             assert outcome.num_dispatches == outcome.num_chunks
         assert outcome.chunk_size >= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        iterations=st.integers(min_value=1, max_value=50_000_000),
+        chunk=st.integers(min_value=1, max_value=512),
+        threads=st.integers(min_value=1, max_value=64),
+    )
+    def test_guided_layout_matches_float_ceiling(self, iterations, chunk, threads):
+        sizes, remaining = [], iterations
+        while remaining > 0:
+            size = min(max(chunk, int(np.ceil(remaining / threads))), remaining)
+            sizes.append(size)
+            remaining -= size
+        num_chunks, layout = _chunk_layout(ScheduleKind.GUIDED, iterations, chunk, threads)
+        assert num_chunks == len(sizes)
+        assert layout.tolist() == sizes
+
+
+class TestScheduleExactness:
+    """The fast scheduler equals the per-chunk reference loops exactly."""
+
+    @pytest.mark.parametrize("region_id", sorted(SUITE_REGIONS))
+    def test_suite_regions_match_reference(self, region_id):
+        region = SUITE_REGIONS[region_id]
+        for threads, schedule, chunk in itertools.product(
+            [1, 8, 32], list(ScheduleKind), [None, 1, 256]
+        ):
+            config = OpenMPConfig(threads, schedule, chunk)
+            expected = reference_schedule(region, config)
+            assert simulate_schedule(region, config) == expected, config.label()
+
+    def test_database_sweep_matches_reference(self, small_regions_by_app, monkeypatch):
+        regions = [region for group in small_regions_by_app.values() for region in group]
+
+        def sweep():
+            database = MeasurementDatabase(
+                Machine.named("haswell", seed=0), SearchSpace("haswell"), regions
+            )
+            return [
+                result
+                for region in regions
+                for cap in database.search_space.power_caps
+                for result in database.sweep_region(region.region_id, cap)
+            ]
+
+        fast = sweep()
+        monkeypatch.setattr(execution, "simulate_schedule", reference_schedule)
+        reference = sweep()
+        assert len(fast) == len(regions) * 4 * 127
+        assert fast == reference
 
 
 class TestRegionCharacteristics:
