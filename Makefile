@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint coverage chaos bench-smoke perf-smoke bench-engine shuffle-study bench
+.PHONY: test lint coverage chaos bench-smoke perf-smoke shuffle-study bench
 
 # Tier-1 verification: the full unit test suite.
 test:
@@ -32,21 +32,16 @@ coverage:
 	PYTHONPATH=src $(PYTHON) -m pytest -q --cov=repro --cov-report=xml --cov-report=term
 	$(PYTHON) tools/check_coverage.py coverage.xml --floor repro/serve=80 --floor repro/nn=70 --floor repro/distill=70
 
-# Fast perf-regression check for the message-passing engine and the serving
-# stack; fails when an engine path stops beating the retained seed reference
-# paths, the batched multi-region sweep stops beating serial sweeps, or the
-# compiled autograd-free inference program stops beating the Module forward.
-# Includes the serve_gateway churn drill (open-loop traffic through the
-# asyncio gateway with mid-load kill/pause/restart and a dead-fleet
-# fallback phase; byte-identity with the serial path is a hard failure) and
-# the serve_chaos axis (sweep latency through a fixed byte-level fault
-# schedule; byte-identity, detected corruption and all-LIVE recovery are
-# hard failures).
-# Writes per-axis medians to benchmarks/results/BENCH_<n>.json and the
-# stable benchmarks/results/BENCH_latest.json copy CI uploads as the
-# `perf-trajectory` artifact.
+# Timing floors (CI `perf` job): fails when one of eight fast paths stops
+# beating its in-tree reference by its floor: the engine against the seed
+# reference paths (forward 1.1x, train_epoch 1.2x, cap_sweep 2.0x), the
+# batched multi-region sweep against serial sweeps (1.1x), the compiled
+# inference program against the Module forward (1.1x), float32 against
+# float64 on the scatter-bound layer (1.15x), the runtime scatter kernel
+# against bincount (1.0x) and the micro tier against the novel-region GNN
+# path (2.0x).  Prints one line per floor; writes nothing.
 bench-smoke:
-	$(PYTHON) -m benchmarks.bench_engine --smoke
+	$(PYTHON) -m benchmarks.floors
 
 # End-to-end smoke of the paper's experiment (CI `perf` job): the
 # benchmark's tune_suite_cv workload (benchmarks/perf) builds the 68-region
@@ -56,15 +51,13 @@ bench-smoke:
 perf-smoke:
 	$(PYTHON) -m benchmarks.perf --workload tune_suite_cv --seed 0 --seconds 1
 
-# Full engine microbenchmarks with the headline before/after numbers.
-bench-engine:
-	$(PYTHON) -m benchmarks.bench_engine
-
 # shuffle="batches" accuracy study on the 68-region suite (records the
 # batches-vs-samples accuracy delta backing the profile knob).
 shuffle-study:
 	$(PYTHON) -m benchmarks.shuffle_study
 
-# The paper-figure benchmark suite (pytest-benchmark harness).
+# The paper-figure benchmark suite (pytest-benchmark harness): Figures 2-7,
+# the headline summary, the feature ablation, transfer learning and the
+# substrates, one bench_*.py module each.
 bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_*.py -q

@@ -1,8 +1,8 @@
 """Benchmark harness package.
 
 Importing the package bootstraps ``sys.path`` (the ``src`` layout and the
-benchmarks directory itself) so ``python -m benchmarks.bench_engine`` works
-from a repository checkout without setting ``PYTHONPATH``.
+benchmarks directory itself) so ``python -m benchmarks.floors`` works from a
+repository checkout without setting ``PYTHONPATH``.
 """
 
 import os

@@ -7,7 +7,7 @@ whole benchmark suite's runtime close to the sum of unique experiments.
 This module also owns the benchmark output conventions: formatted text goes
 to ``benchmarks/results/<name>.txt`` (see ``conftest.save_result``) and
 machine-readable payloads to ``benchmarks/results/<name>.json`` via
-:func:`save_json` (used by ``bench_engine``'s perf-regression smoke mode).
+:func:`save_json` (used by ``shuffle_study``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Dict
 
 # NOTE: the repro.experiments stack is imported lazily inside the accessor
 # functions — this module is also imported for its results-path conventions
-# (by conftest.py at pytest collection time and by bench_engine), which must
+# (by conftest.py at pytest collection time and by shuffle_study), which must
 # stay cheap and not depend on the experiment code importing cleanly.
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")

@@ -29,9 +29,9 @@ schedules below.  Two kernels ship, one per owner of the output buffer:
     workspaces planned into its arena.
 
 ``reference_kernels()`` switches the module back to the ``np.add.at`` path;
-``benchmarks/bench_engine.py`` uses it to time the seed implementation
-without keeping a second copy of the code (and its ``scatter_mp`` axis
-times the two kernels against each other).
+``benchmarks/floors.py`` uses it to time the seed implementation without
+keeping a second copy of the code (and its ``scatter_mp_kernel`` floor
+times the two kernels above against each other).
 """
 
 from __future__ import annotations

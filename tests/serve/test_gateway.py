@@ -6,7 +6,7 @@ overload path — batch-window coalescing, deadline expiry inside and outside
 the window, queue-full shedding, hedge-first-answer-wins, breaker
 open/half-open/close, dead-fleet fallback — runs in milliseconds and never
 flakes on machine load.  The chaos drill at the bottom runs the same gateway
-over a real :class:`~repro.serve.fleet.LocalFleet` through kill/kill-all
+over a real :class:`~repro.serve.fleet.LocalFleet` through pause/kill/kill-all
 churn and asserts byte-identity with serial ``predict_sweep`` throughout.
 """
 
@@ -563,6 +563,19 @@ class TestGatewayChaosDrill:
                         )
                     )
                     assert served == expected[dtype]
+                # Hang one node, still connected: EOF detection cannot see
+                # it, so the stuck batches are hedged onto the other node.
+                local.pause_node(0)
+                served = await asyncio.gather(
+                    *(gateway.predict_sweep(region, caps) for region in regions)
+                )
+                assert served == expected[None]
+                local.resume_node(0)
+                served = await asyncio.gather(
+                    *(gateway.predict_sweep(region, caps) for region in regions)
+                )
+                assert served == expected[None]
+                assert gateway.stats()["hedges"] >= 1
                 # Kill one node mid-traffic: requests reroute, same bytes.
                 local.kill_node(0)
                 served = await asyncio.gather(
