@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,11 +32,17 @@ from repro.nn import precision
 from repro.ir.outline import extract_outlined_regions
 from repro.nn.data import GraphSample
 from repro.openmp.region import RegionCharacteristics
+from repro.utils.caching import LRUCache
 from repro.utils.logging import get_logger
 
 __all__ = ["TuningScenario", "LabeledSample", "DatasetBuilder"]
 
 _LOG = get_logger("core.dataset")
+
+#: How many never-seen regions (ids outside a builder's suite) keep their
+#: per-region state between queries, least recently used out first.  Sized
+#: like :attr:`repro.core.tuner.PnPTuner.EMBEDDING_CACHE_SIZE`.
+NOVEL_REGION_CACHE_SIZE = 512
 
 
 class TuningScenario(enum.Enum):
@@ -61,8 +67,26 @@ class LabeledSample:
         return self.sample.label
 
 
+@dataclass(eq=False)
+class _RegionState:
+    """What a builder keeps of one region between queries."""
+
+    fingerprint: str  # content the graph, sample and counters derive from
+    sample: Optional[GraphSample] = None  # structural: label- and aux-free
+    counters: Optional[np.ndarray] = None  # normalised PAPI counters
+
+
 class DatasetBuilder:
     """Builds graph datasets for the two tuning scenarios.
+
+    Suite regions keep their flow graphs (:meth:`region_graphs`) for
+    training.  A never-seen region queried through :meth:`inference_sample`
+    keeps only its small per-region state — content fingerprint, encoded
+    structural sample, PAPI counters — in an LRU of
+    :data:`NOVEL_REGION_CACHE_SIZE` entries, and its graph is dropped once
+    encoded, so serving memory follows the working set rather than every
+    region seen.  An evicted region is rebuilt on its next query with the
+    same result.  Its registration in the measurement database stays.
 
     Parameters
     ----------
@@ -106,20 +130,18 @@ class DatasetBuilder:
         )
         self.seed = seed
         self._graphs: Optional[Dict[str, FlowGraph]] = None
-        self._counters: Dict[str, np.ndarray] = {}
-        # Content fingerprint of the characteristics each cached graph was
-        # built from: a region re-submitted under the same id with different
-        # characteristics invalidates its graph (and counters) instead of
-        # silently serving the stale structure.
-        self._graph_fingerprints: Dict[str, str] = {}
-        # Structural (label-free, aux-free) inference samples memoised per
-        # region content — vocabulary encoding is a Python token loop, so
-        # cold sweeps over many regions shouldn't pay it per query.
-        self._structural_samples: Dict[str, Tuple[str, GraphSample]] = {}
+        # Per-region state by id, suite regions for good and never-seen ones
+        # in the LRU.  The fingerprint catches a region re-submitted under
+        # the same id with different characteristics: its graph, sample and
+        # counters are rebuilt instead of serving the stale structure.  The
+        # sample is memoised because vocabulary encoding is a Python token
+        # loop that cold sweeps over many regions shouldn't pay per query.
+        self._suite_state: Dict[str, _RegionState] = {}
+        self._novel_state = LRUCache(maxsize=NOVEL_REGION_CACHE_SIZE)
 
     # ---------------------------------------------------------------- graphs
     def region_graphs(self) -> Dict[str, FlowGraph]:
-        """Flow graph of every region (built once, keyed by region id)."""
+        """Flow graph of every suite region (built once, keyed by region id)."""
         if self._graphs is not None:
             return self._graphs
         graphs: Dict[str, FlowGraph] = {}
@@ -135,7 +157,7 @@ class DatasetBuilder:
                 graphs[region.region_id] = build_flow_graph(
                     outlined[function_name], name=region.region_id
                 )
-                self._graph_fingerprints[region.region_id] = region.fingerprint()
+                self._suite_state[region.region_id] = _RegionState(region.fingerprint())
         self._graphs = graphs
         _LOG.info("built %d region graphs", len(graphs))
         return graphs
@@ -157,15 +179,23 @@ class DatasetBuilder:
 
         The paper's dynamic variant needs two profiling executions per region
         at inference time; here the counters are deterministic functions of
-        the region and machine, profiled once and cached.
+        the region and machine, profiled once and kept with the region's
+        state (re-profiled, with the same result, once that is evicted).
         """
-        if region_id not in self._counters:
-            region = self.database.region(region_id)
-            counters = self.database.engine.profile_counters(
-                region, self.search_space.default_configuration
-            )
-            self._counters[region_id] = counters.normalized()
-        return self._counters[region_id]
+        state = self._region_state(region_id)
+        if state is not None and state.counters is not None:
+            return state.counters
+        counters = self.database.engine.profile_counters(
+            self.database.region(region_id), self.search_space.default_configuration
+        ).normalized()
+        if state is not None:
+            state.counters = counters
+        return counters
+
+    def _region_state(self, region_id: str) -> Optional[_RegionState]:
+        """The kept state of a region: ``None`` if never seen or evicted."""
+        state = self._suite_state.get(region_id)
+        return state if state is not None else self._novel_state.get(region_id)
 
     # --------------------------------------------------------------- samples
     def performance_samples(
@@ -237,40 +267,43 @@ class DatasetBuilder:
     ) -> LabeledSample:
         """Build an unlabeled sample for a (possibly unseen) region.
 
-        Graphs are cached per region id *and* content fingerprint: a region
-        re-submitted under a known id with changed characteristics gets a
-        freshly generated graph (and its cached PAPI counters dropped), and
-        the measurement database's registration is updated, so no stale
-        structure leaks into the prediction.
+        Region state is kept per region id *and* content fingerprint: a
+        region re-submitted under a known id with changed characteristics
+        gets a freshly generated graph (and its cached PAPI counters
+        dropped), and the measurement database's registration is updated,
+        so no stale structure leaks into the prediction.  A suite region's
+        new graph replaces its entry in :meth:`region_graphs`; a never-seen
+        region's graph is dropped once encoded (see the class docstring).
         """
         graphs = self.region_graphs()
         fingerprint = region.fingerprint()
-        graph = graphs.get(region.region_id)
-        if graph is None or self._graph_fingerprints.get(region.region_id) != fingerprint:
+        state = self._region_state(region.region_id)
+        if state is None or state.fingerprint != fingerprint:
             module = generate_application_module(region.application, [region], seed=self.seed)
             outlined = extract_outlined_regions(module)
             graph = build_flow_graph(outlined[region_function_name(region)], name=region.region_id)
-            graphs[region.region_id] = graph
-            self._graph_fingerprints[region.region_id] = fingerprint
-            self._counters.pop(region.region_id, None)
-            self._structural_samples.pop(region.region_id, None)
+            sample = self.encoder.encode(graph, label=-1, region_id=region.region_id)
+            state = _RegionState(fingerprint, sample)
+            if region.region_id in graphs:
+                graphs[region.region_id] = graph
+                self._suite_state[region.region_id] = state
+            else:
+                self._novel_state.put(region.region_id, state)
             self.database.add_region(region)
+        elif state.sample is None:  # a suite region's first inference query
+            state.sample = self.encoder.encode(
+                graphs[region.region_id], label=-1, region_id=region.region_id
+            )
         if scenario == TuningScenario.PERFORMANCE:
             if power_cap is None:
                 raise ValueError("power_cap is required for the performance scenario")
             aux = self._aux_features(region.region_id, power_cap, include_counters)
         else:
             aux = self._edp_aux_features(region.region_id, include_counters)
-        memo = self._structural_samples.get(region.region_id)
-        if memo is None or memo[0] != fingerprint:
-            structural = self.encoder.encode(graph, label=-1, region_id=region.region_id)
-            self._structural_samples[region.region_id] = (fingerprint, structural)
-        else:
-            structural = memo[1]
         # Per-query sample: the memoised index arrays by reference, the
         # query's auxiliary features attached — exactly the sample a fresh
         # ``encoder.encode`` call would build.
-        graph_sample = replace(structural, aux_features=aux)
+        graph_sample = replace(state.sample, aux_features=aux)
         return LabeledSample(
             sample=graph_sample,
             region_id=region.region_id,

@@ -115,12 +115,6 @@ class PnPTuner:
     #: the benchmarks compare against.
     use_inference_programs = True
 
-    #: Memoised collated batches (and their EdgePlans) per fleet composition
-    #: served by :meth:`predict_sweep_many` — content-addressed by the
-    #: regions' (id, fingerprint) pairs, so repeated cold sweeps over the
-    #: same fleet skip collation and plan construction entirely.
-    SWEEP_BATCH_MEMO_SIZE = 32
-
     def __init__(
         self,
         system: str,
@@ -188,11 +182,6 @@ class PnPTuner:
         # any weight rebinding that bypasses the tuner (direct
         # load_state_dict/astype/training on the underlying model).
         self._programs: Dict[str, InferenceProgram] = {}
-        # Fleet-composition batch memo for predict_sweep_many.  Keyed by
-        # content (ids + fingerprints), so it survives weight changes — the
-        # graphs don't depend on the weights — and never serves stale
-        # structure.
-        self._sweep_batch_memo: LRUCache = LRUCache(maxsize=self.SWEEP_BATCH_MEMO_SIZE)
         # Micro-model runtimes (repro.distill.runtime.MicroRuntime) serving
         # through this tuner's head.  Weak: the tuner accounts for and sheds
         # their buffers (inference_cache_stats / clear_inference_buffers)
@@ -442,7 +431,11 @@ class PnPTuner:
 
         Duplicate regions (same id and content fingerprint) are encoded
         once.  ``dtype`` overrides the serving precision exactly as in
-        :meth:`predict_sweep`.
+        :meth:`predict_sweep`.  The collated miss batch lives for this call
+        only: a set of never-seen regions does not repeat, so its
+        ``EdgePlan`` and the arena the compiled program binds to it are
+        freed on return, and only the pooled rows stay (in the bounded
+        embedding cache).
         """
         self._require_fitted()
         if self.objective != "time":
@@ -476,12 +469,8 @@ class PnPTuner:
             pooled_by_key[key] = np.empty(0)  # placeholder, filled below
 
         if miss_keys:
-            # The collated miss batch (and its EdgePlan) is memoised per
-            # fleet composition — content-addressed, weight-independent.
-            structure_key = tuple((key[0], key[1]) for key in miss_keys)
-            batch = self._sweep_batch_memo.get(structure_key)
-            if batch is None:
-                miss_samples: List[GraphSample] = [
+            batch = collate_graphs(
+                [
                     self.builder.inference_sample(
                         region,
                         power_cap=caps[0],
@@ -490,8 +479,7 @@ class PnPTuner:
                     ).sample
                     for region in miss_regions
                 ]
-                batch = collate_graphs(miss_samples)
-                self._sweep_batch_memo.put(structure_key, batch)
+            )
             pooled = self._encode_pooled(model, batch)
             for row_index, key in enumerate(miss_keys):
                 # Copy so a cached row doesn't pin the whole batch array.
@@ -611,11 +599,12 @@ class PnPTuner:
 
         Aggregates :meth:`InferenceProgram.buffer_stats` across the tuner's
         compiled programs (one per served dtype) — bound plans, arena
-        slabs/bytes, head workspaces — plus the entry counts of the tuner's
-        own plan-pinning memos and the buffers of every attached micro-model
-        runtime (``micro_*`` keys).  Arenas are keyed by weakly-referenced
-        ``EdgePlan``s, so whatever keeps plans alive (the sweep batch memo
-        foremost) is what keeps arena bytes on the books.
+        slabs/bytes, head workspaces — plus the entry count of the embedding
+        cache and the buffers of every attached micro-model runtime
+        (``micro_*`` keys).  Arenas are keyed by weakly-referenced
+        ``EdgePlan``s and the tuner keeps no batch past a call, so between
+        calls ``bound_plans`` and ``arena_bytes`` count only plans a caller
+        still holds; head workspaces, keyed by row count, stay.
         """
         stats = {
             "programs": len(self._programs),
@@ -626,7 +615,6 @@ class PnPTuner:
             "head_workspaces": 0,
             "head_bytes": 0,
             "embedding_cache_entries": len(self._embedding_cache),
-            "sweep_batch_memo_entries": len(self._sweep_batch_memo),
             "micro_runtimes": 0,
             "micro_programs": 0,
             "micro_workspaces": 0,
@@ -645,18 +633,17 @@ class PnPTuner:
         """Shed every compiled-inference buffer (arenas, head workspaces).
 
         Keeps the compiled programs themselves (lowering is cheap to reuse,
-        holds only parameter references) but drops their per-plan arenas and
-        per-row-count head workspaces, and clears the sweep batch memo whose
-        cached ``GraphBatch``es pin plans — and therefore arenas — alive.
-        Attached micro-model runtimes are shed too, so both serving tiers
-        drop to their weight-only footprint.  Long-lived
-        :class:`repro.serve.NodeServer`s call this after rolling weight
-        updates so superseded buffers are reclaimed immediately; everything
-        is rebuilt lazily on the next query.
+        holds only parameter references) but drops their per-row-count head
+        workspaces and any arena bound to a plan a caller still holds (the
+        tuner's own sweeps free theirs on return).  Attached micro-model
+        runtimes are shed too, so both serving tiers drop to their
+        weight-only footprint.  Long-lived :class:`repro.serve.NodeServer`s
+        call this after rolling weight updates so superseded buffers are
+        reclaimed immediately; everything is rebuilt lazily on the next
+        query.
         """
         for program in self._programs.values():
             program.clear_buffers()
-        self._sweep_batch_memo.clear()
         for runtime in list(self._micro_runtimes):
             runtime.clear_buffers()
 

@@ -1,28 +1,23 @@
 """Shared plumbing for the experiment runners.
 
-Heavy loops can be sharded via :mod:`repro.serve`: cross-validation folds
-across worker processes (``pnp_cross_validated_selections(num_workers=...)``)
-and per-figure region sweep loops across fleet nodes
-(:func:`sharded_performance_selections`).
-Both paths are deterministic and produce results identical to their serial
-counterparts — sharding is purely a wall-clock decision.
+Per-figure region sweep loops can be sharded across the nodes of a
+:mod:`repro.serve` fleet (:func:`sharded_performance_selections`); the
+selections are identical to the serial loop's, so sharding is purely a
+wall-clock decision.  Cross-validation folds train serially: worker
+processes each running BLAS at its default thread count oversubscribe the
+cores and ran slower than the serial loop, and capping their BLAS threads
+changes the float64 weights a fold trains to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.benchsuite.registry import regions_by_application
 from repro.core.dataset import DatasetBuilder, LabeledSample, TuningScenario
 from repro.core.measurements import MeasurementDatabase, get_measurement_database
-from repro.core.model import ModelConfig, PnPModel
-from repro.core.training import (
-    TrainingConfig,
-    predict_labels,
-    run_cross_validation,
-    train_model,
-)
+from repro.core.model import PnPModel
+from repro.core.training import run_cross_validation
 from repro.core.tuner import (
     PnPTuner,
     labels_to_edp_selections,
@@ -31,7 +26,7 @@ from repro.core.tuner import (
 from repro.experiments.profiles import ExperimentProfile
 from repro.openmp.config import OpenMPConfig
 from repro.openmp.region import RegionCharacteristics
-from repro.serve import FleetClient, LocalFleet, parallel_map
+from repro.serve import FleetClient, LocalFleet
 from repro.tuners.base import BaselineTuner
 from repro.utils.logging import get_logger
 
@@ -74,30 +69,6 @@ def experiment_builder(system: str, profile: ExperimentProfile) -> DatasetBuilde
 
 
 # ------------------------------------------------------------------ PnP CV
-@dataclass(frozen=True)
-class _FoldRunner:
-    """Picklable per-fold trainer for process-sharded cross-validation.
-
-    Folds are independent (fresh model per fold, deterministic seeds), so
-    training them in worker processes yields predictions identical to the
-    serial :func:`repro.core.training.run_cross_validation` loop.
-    """
-
-    model_config: ModelConfig
-    training_config: TrainingConfig
-
-    def __call__(self, fold) -> List[Tuple[Tuple[str, Optional[float]], int]]:
-        fold_name, train, validation = fold
-        model = PnPModel(self.model_config)
-        train_model(model, train, self.training_config)
-        predictions = predict_labels(model, validation)
-        _LOG.info("fold %s: %d validation samples", fold_name, len(validation))
-        return [
-            ((labeled.region_id, labeled.power_cap), int(predicted))
-            for labeled, predicted in zip(validation, predictions)
-        ]
-
-
 def pnp_cross_validated_selections(
     builder: DatasetBuilder,
     samples: Sequence[LabeledSample],
@@ -106,18 +77,13 @@ def pnp_cross_validated_selections(
     include_counters: bool,
     optimizer: str,
     train_hook=None,
-    num_workers: int = 1,
 ):
     """Cross-validate the PnP model and convert predictions to selections.
 
     Returns the selections in the format the evaluation functions expect:
     ``{(region_id, cap): config}`` for the performance scenario and
-    ``{region_id: (cap, config)}`` for the EDP scenario.
-
-    ``num_workers > 1`` trains the cross-validation folds in worker
-    processes (identical predictions, shorter wall clock).  Experiments
-    passing a ``train_hook`` (whose returned parameter subsets must alias
-    the live model) fall back to the serial path.
+    ``{region_id: (cap, config)}`` for the EDP scenario.  ``train_hook`` is
+    forwarded to :func:`repro.core.training.run_cross_validation`.
     """
     space = builder.search_space
     num_classes = (
@@ -129,22 +95,13 @@ def pnp_cross_validated_selections(
     model_config = profile.model_config(len(builder.vocabulary), num_classes, aux_dim)
     training_config = profile.training_config(optimizer=optimizer)
 
-    if num_workers > 1 and train_hook is None:
-        runner = _FoldRunner(model_config, training_config)
-        folds = list(profile.splitter().split(samples))
-        predictions = {}
-        for fold_predictions in parallel_map(runner, folds, num_workers):
-            predictions.update(fold_predictions)
-    else:
-        if num_workers > 1:
-            _LOG.info("train_hook given: cross-validating serially")
-        predictions = run_cross_validation(
-            samples,
-            model_factory=lambda: PnPModel(model_config),
-            training_config=training_config,
-            splitter=profile.splitter(),
-            train_hook=train_hook,
-        )
+    predictions = run_cross_validation(
+        samples,
+        model_factory=lambda: PnPModel(model_config),
+        training_config=training_config,
+        splitter=profile.splitter(),
+        train_hook=train_hook,
+    )
     if scenario == TuningScenario.PERFORMANCE:
         return labels_to_performance_selections(predictions, space)
     return labels_to_edp_selections(predictions, space)

@@ -845,9 +845,9 @@ class InferenceProgram:
         """Live buffer accounting: arena and head-workspace sizes in bytes.
 
         Arenas are keyed by weakly-referenced plans, so entries vanish when
-        their plans are garbage collected; anything that memoises batches
-        (sweep memos, embedding caches) keeps plans — and therefore arenas
-        — alive.  ``PnPTuner.stats`` surfaces this and
+        their plans are garbage collected; anything that holds a batch keeps
+        its plans — and therefore arenas — alive.
+        ``PnPTuner.inference_cache_stats`` surfaces this and
         :meth:`clear_buffers` sheds it.
         """
         encoders = list(self._bound.values())

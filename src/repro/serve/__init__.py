@@ -59,9 +59,6 @@ back to the GNN path byte-identically.  Replicas pick their predictor
 through :func:`~repro.serve.spec.build_predictor_from_update`, so shipping a
 distilled blob in a :class:`~repro.serve.spec.WeightsUpdate` upgrades nodes
 and the gateway fallback to tiered serving uniformly.
-
-:func:`parallel_map` is the small deterministic process-pool primitive the
-experiment runners use to shard cross-validation folds.
 """
 
 from repro.serve.faults import ChaosProxy, FaultEvent, FaultPlan
@@ -78,7 +75,6 @@ from repro.serve.predictor import (
     tiered_predictor,
 )
 from repro.serve.rpc import RpcCorruption, RpcTimeout
-from repro.serve.server import parallel_map
 from repro.serve.sharding import HashRing
 from repro.serve.spec import build_predictor_from_update
 
@@ -103,6 +99,5 @@ __all__ = [
     "TieredPredictor",
     "UntrustedRegion",
     "build_predictor_from_update",
-    "parallel_map",
     "tiered_predictor",
 ]

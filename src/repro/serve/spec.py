@@ -57,8 +57,7 @@ __all__ = [
 def default_start_method() -> str:
     """Replica start method: ``fork`` where available, ``spawn`` otherwise.
 
-    ``fork`` is cheap on the Linux CI machines; the one policy is shared by
-    :func:`~repro.serve.server.parallel_map` and
+    ``fork`` is cheap on the Linux CI machines.  Used for
     :class:`~repro.serve.fleet.LocalFleet`'s node subprocesses.
     """
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"

@@ -1,4 +1,5 @@
-"""LRU embedding-cache eviction and its interplay with cast models.
+"""LRU eviction: the tuner's embedding cache, its cast models, and the
+builder's bounded state of never-seen regions.
 
 The tuner holds two weight-derived caches: the pooled-embedding LRU (keyed
 by region id, content fingerprint and dtype) and the lazily built
@@ -6,13 +7,26 @@ dtype-cast models (``_cast_models``).  They have different lifecycles —
 evicting an embedding must never invalidate a cast model (which would force
 a full weight re-cast on the next sweep), while a weight change
 (``fit``/``load_state_dict``) must clear both.
+
+Serving memory is bounded by the working set: the builder keeps at most
+``NOVEL_REGION_CACHE_SIZE`` never-seen regions, a sweep keeps no batch (nor
+its arena) past its return, and an evicted region answers exactly as before.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 
+import repro.core.dataset as dataset
+from repro.core.dataset import DatasetBuilder, TuningScenario
+from repro.core.measurements import MeasurementDatabase
 from repro.core.model import ModelConfig
+from repro.core.search_space import SearchSpace
 from repro.core.training import TrainingConfig
 from repro.core.tuner import PnPTuner
+from repro.distill import perturb_region
+from repro.hw.machine import Machine
 from repro.utils.caching import LRUCache
 
 CAPS = [45.0, 65.0]
@@ -103,6 +117,9 @@ class TestEvictionCastModelInterplay:
         # The next float32 sweep builds a fresh cast from the new weights.
         tuner.predict_sweep(region, CAPS, dtype="float32")
         assert tuner._cast_models["float32"] is not stale_cast
+        regions = small_regions_by_app["gemm"] + small_regions_by_app["atax"]
+        fresh = tuner.predict_sweep_many(regions, CAPS)
+        assert fresh == [tuner.predict_sweep(r, CAPS) for r in regions]
 
     def test_fit_clears_embeddings_and_cast_models(self, tuner, small_regions_by_app):
         region = small_regions_by_app["gemm"][0]
@@ -113,15 +130,106 @@ class TestEvictionCastModelInterplay:
         assert len(tuner._embedding_cache) == 0
         assert tuner._cast_models == {}
 
-    def test_sweep_batch_memo_survives_weight_changes(self, tuner, small_builder):
-        regions = small_builder.regions()[:4]
-        tuner.predict_sweep_many(regions, CAPS)
-        assert len(tuner._sweep_batch_memo) == 1
-        tuner.load_state_dict(tuner.state_dict())
-        # The memoised collated batch is weight-independent structure; only
-        # the embeddings (weight products) are invalidated.
-        assert len(tuner._sweep_batch_memo) == 1
-        assert len(tuner._embedding_cache) == 0
-        fresh = tuner.predict_sweep_many(regions, CAPS)
-        serial = [tuner.predict_sweep(region, CAPS) for region in regions]
-        assert fresh == serial
+
+@pytest.fixture(scope="module")
+def private_database(small_regions_by_app):
+    """A database of its own: these tests register never-seen regions."""
+    regions = [r for rs in small_regions_by_app.values() for r in rs]
+    return MeasurementDatabase(
+        Machine.named("haswell", seed=0), SearchSpace("haswell"), regions
+    )
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["static", "counters"])
+def novel_tuner(request, private_database, small_regions_by_app):
+    builder = DatasetBuilder(
+        private_database, regions_by_app=small_regions_by_app, seed=0
+    )
+    config = ModelConfig(
+        vocabulary_size=len(builder.vocabulary),
+        num_classes=private_database.search_space.num_omp_configurations,
+        aux_dim=builder.aux_feature_dim(TuningScenario.PERFORMANCE, request.param),
+        seed=0,
+    )
+    tuner = PnPTuner(
+        system="haswell",
+        objective="time",
+        include_counters=request.param,
+        model_config=config,
+        training_config=TrainingConfig(epochs=1, seed=0),
+        database=private_database,
+        seed=0,
+    )
+    tuner.builder = builder
+    return tuner.fit(tuner.build_training_samples())
+
+
+def _fresh_builder(tuner) -> DatasetBuilder:
+    """Give ``tuner`` a new builder, sized by the current capacity constant."""
+    tuner.builder = DatasetBuilder(
+        tuner.database, regions_by_app=tuner.builder.regions_by_app, seed=0
+    )
+    return tuner.builder
+
+
+def _novel_regions(suite, count: int, first_index: int):
+    """``count`` never-seen variants of suite regions, ids unique per index."""
+    rng = np.random.default_rng(first_index)
+    return [
+        perturb_region(suite[i % len(suite)], rng, index=first_index + i)
+        for i in range(count)
+    ]
+
+
+class TestBoundedNovelState:
+    def test_builder_keeps_at_most_capacity_novel_regions(
+        self, novel_tuner, monkeypatch
+    ):
+        monkeypatch.setattr(dataset, "NOVEL_REGION_CACHE_SIZE", 3)
+        builder = _fresh_builder(novel_tuner)
+        suite_ids = {region.region_id for region in builder.regions()}
+        regions = _novel_regions(builder.regions(), 12, first_index=0)
+        for start in range(0, len(regions), 4):
+            novel_tuner.predict_sweep_many(regions[start : start + 4], CAPS)
+        novel_ids = {region.region_id for region in regions}
+        # Every per-region container the builder holds, whatever its name.
+        for name, container in vars(builder).items():
+            if isinstance(container, LRUCache):
+                container = container._entries
+            if isinstance(container, dict):
+                assert len(novel_ids.intersection(container)) <= 3, name
+        assert set(builder.region_graphs()) == suite_ids
+
+    def test_failed_first_query_keeps_no_partial_state(self, novel_tuner):
+        builder = novel_tuner.builder
+        (region,) = _novel_regions(builder.regions(), 1, first_index=300)
+        with pytest.raises(ValueError, match="power_cap"):
+            builder.inference_sample(region)
+        sample = builder.inference_sample(region, power_cap=CAPS[0]).sample
+        fresh = _fresh_builder(novel_tuner).inference_sample(region, power_cap=CAPS[0])
+        assert pickle.dumps(sample) == pickle.dumps(fresh.sample)
+
+    def test_cold_sweeps_keep_no_arena(self, novel_tuner):
+        regions = _novel_regions(novel_tuner.builder.regions(), 16, first_index=100)
+        for dtype, share in (("float64", regions[:8]), ("float32", regions[8:])):
+            for start in range(0, len(share), 4):
+                batch = share[start : start + 4]
+                novel_tuner.predict_sweep_many(batch, CAPS, dtype=dtype)
+                stats = novel_tuner.inference_cache_stats()
+                assert stats["bound_plans"] == 0
+                assert stats["arena_bytes"] == 0
+
+    def test_evicted_region_answers_byte_identically(self, novel_tuner, monkeypatch):
+        monkeypatch.setattr(dataset, "NOVEL_REGION_CACHE_SIZE", 2)
+        builder = _fresh_builder(novel_tuner)
+        monkeypatch.setattr(novel_tuner, "_embedding_cache", LRUCache(maxsize=2))
+        region, *others = _novel_regions(builder.regions(), 4, first_index=200)
+        for dtype in ("float64", "float32"):
+            first = novel_tuner.predict_sweep_many([region], CAPS, dtype=dtype)
+            novel_tuner.predict_sweep_many(others, CAPS, dtype=dtype)
+            # Evicted from both caches: the next query rebuilds everything.
+            assert region.region_id not in builder._novel_state
+            embedded = novel_tuner._embedding_cache._entries
+            assert all(key[0] != region.region_id for key in embedded)
+            again = novel_tuner.predict_sweep_many([region], CAPS, dtype=dtype)
+            assert pickle.dumps(again) == pickle.dumps(first)

@@ -203,7 +203,7 @@ class TestFingerprintedCache:
         sample = builder.inference_sample(modified, power_cap=60.0)
         rebuilt = builder.region_graphs()[region.region_id]
         assert rebuilt is not original_graph
-        assert builder._graph_fingerprints[region.region_id] == modified.fingerprint()
+        assert builder._suite_state[region.region_id].fingerprint == modified.fingerprint()
         # The database registration follows the new characteristics.
         assert builder.database.region(region.region_id) == modified
         assert sample.sample.region_id == region.region_id
@@ -213,7 +213,7 @@ class TestFingerprintedCache:
         assert (again.sample.token_ids == sample.sample.token_ids).all()
         # Restore the session-scoped builder for the remaining tests.
         builder.inference_sample(region, power_cap=60.0)
-        assert builder._graph_fingerprints[region.region_id] == region.fingerprint()
+        assert builder._suite_state[region.region_id].fingerprint == region.fingerprint()
         assert builder.database.region(region.region_id) == region
 
     def test_reregistration_drops_stale_measurements(self, fleet_tuner, suite_regions):

@@ -1,7 +1,8 @@
-"""Process-sharded experiment plumbing: fold-parallel CV and sharded sweeps.
+"""Experiment plumbing: cross-validation with a train hook, and sweeps
+sharded over a fleet.
 
-Sharding is a wall-clock decision only — both paths must return exactly the
-selections of their serial counterparts.
+Sharding is a wall-clock decision only — it must return exactly the
+selections of the serial loop.
 """
 
 import pytest
@@ -30,27 +31,6 @@ def builder(profile):
 
 
 class TestFoldParallelCrossValidation:
-    def test_selections_identical_to_serial(self, builder, profile):
-        samples = builder.performance_samples()
-        serial = pnp_cross_validated_selections(
-            builder,
-            samples,
-            profile,
-            TuningScenario.PERFORMANCE,
-            include_counters=False,
-            optimizer="adamw",
-        )
-        sharded = pnp_cross_validated_selections(
-            builder,
-            samples,
-            profile,
-            TuningScenario.PERFORMANCE,
-            include_counters=False,
-            optimizer="adamw",
-            num_workers=2,
-        )
-        assert sharded == serial
-
     def test_train_hook_falls_back_to_serial(self, builder, profile):
         samples = builder.performance_samples()
         hook_calls = []
@@ -67,9 +47,8 @@ class TestFoldParallelCrossValidation:
             include_counters=False,
             optimizer="adamw",
             train_hook=hook,
-            num_workers=4,
         )
-        assert hook_calls  # the hook ran → the serial path was taken
+        assert hook_calls  # the hook ran
         assert selections
 
 

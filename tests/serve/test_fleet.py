@@ -134,12 +134,14 @@ class TestFleetEquivalence:
 
 class TestBufferRetention:
     def test_stats_expose_inference_buffer_sizes(self, fleet, small_builder):
+        fleet.clear_caches()  # a cold sweep
         fleet.sweep(small_builder.regions(), CAPS)
         for node_stats in fleet.stats().values():
             buffers = node_stats["buffers"]
             assert buffers["programs"] >= 1
-            assert buffers["arena_slabs"] <= buffers["arena_buffers"]
-            assert buffers["arena_bytes"] > 0
+            # A sweep's arena is freed with its batch when the sweep returns.
+            assert buffers["bound_plans"] == 0
+            assert buffers["arena_bytes"] == 0
             assert buffers["head_workspaces"] >= 1
 
     def test_clear_sheds_arena_bytes_fleet_wide(self, fleet, small_builder):
@@ -150,7 +152,6 @@ class TestBufferRetention:
             buffers = node_stats["buffers"]
             assert buffers["arena_bytes"] == 0
             assert buffers["head_workspaces"] == 0
-            assert buffers["sweep_batch_memo_entries"] == 0
             assert buffers["programs"] >= 1  # compiled programs survive
         # Buffers rebuild lazily; served bytes are unchanged.
         assert fleet.sweep(regions, CAPS) == before
