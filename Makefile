@@ -43,13 +43,17 @@ coverage:
 bench-smoke:
 	$(PYTHON) -m benchmarks.floors
 
-# End-to-end smoke of the paper's experiment (CI `perf` job): the
-# benchmark's tune_suite_cv workload (benchmarks/perf) builds the 68-region
-# measurement database, runs the 3-fold cross-validated PnP selections and
-# evaluates them (one timed repetition).  Exits 1 when CV repetitions
-# disagree or a fresh re-run of the first fold changes its selections.
+# End-to-end smokes (CI `perf` job), two workloads of the benchmark
+# (benchmarks/perf).  tune_suite_cv is the paper's experiment: it builds the
+# 68-region measurement database, runs the 3-fold cross-validated PnP
+# selections and evaluates them (one timed repetition); it exits 1 when CV
+# repetitions disagree or a fresh re-run of the first fold changes its
+# selections.  serve_novel drives gateway -> TCP fleet -> TieredPredictor ->
+# tuner with never-seen regions (about 14 s of set-up) and exits 1 when any
+# served answer differs from the in-process predictor's.
 perf-smoke:
 	$(PYTHON) -m benchmarks.perf --workload tune_suite_cv --seed 0 --seconds 1
+	$(PYTHON) -m benchmarks.perf --workload serve_novel --seed 0 --seconds 1
 
 # shuffle="batches" accuracy study on the 68-region suite (records the
 # batches-vs-samples accuracy delta backing the profile knob).

@@ -303,8 +303,10 @@ def micromodel(tuner) -> float:
         tuner._embedding_cache.clear()
         tuner.predict_sweep(region, [cap])
 
-    runtime.predict(region, cap)  # bind programs, buffers and the head
-    micro_s = _median_per_call(lambda: runtime.predict(region, cap), 100, rounds=4)
+    runtime.predict_sweep(region, [cap])  # bind programs, buffers and the head
+    micro_s = _median_per_call(
+        lambda: runtime.predict_sweep(region, [cap]), 100, rounds=4
+    )
     tuner.predict_sweep(region, [cap])  # compile outside the timed loop
     gnn_s = _median_per_call(gnn, 10, rounds=4)
     return gnn_s / micro_s

@@ -51,7 +51,7 @@ from repro.core.model import ModelConfig, PnPModel
 from repro.core.search_space import SearchSpace
 from repro.core.training import TrainingConfig, _predict_labels, train_model
 from repro.nn import precision
-from repro.nn.data import GraphSample, collate_graphs
+from repro.nn.data import collate_graphs
 from repro.nn.inference import InferenceProgram
 from repro.openmp.config import OpenMPConfig
 from repro.openmp.region import RegionCharacteristics
@@ -296,23 +296,6 @@ class PnPTuner:
         """LRU key of a region's pooled embedding: (id, fingerprint, dtype)."""
         return (region.region_id, region.fingerprint(), model.dtype.name)
 
-    def _pooled_embedding(
-        self,
-        sample: GraphSample,
-        model: Optional[PnPModel] = None,
-        key: Optional[Tuple[str, str, str]] = None,
-    ) -> np.ndarray:
-        """The region's pooled graph embedding, via the fingerprinted LRU cache."""
-        model = model if model is not None else self.model
-        if key is not None:
-            cached = self._embedding_cache.get(key)
-            if cached is not None:
-                return cached
-        pooled = self._encode_pooled(model, collate_graphs([sample]))
-        if key is not None:
-            self._embedding_cache.put(key, pooled)
-        return pooled
-
     def predict(
         self, region: RegionCharacteristics, power_cap: Optional[float] = None
     ) -> TuningResult:
@@ -348,7 +331,10 @@ class PnPTuner:
                 include_counters=self.include_counters,
                 scenario=self.scenario,
             )
-            pooled = self._pooled_embedding(sample.sample, key=key)
+            if pooled is None:
+                batch = collate_graphs([sample.sample])
+                pooled = self._encode_pooled(self.model, batch)
+                self._embedding_cache.put(key, pooled)
             aux = sample.sample.aux_features
         aux = aux[None, :] if aux is not None else None
         label = int(self._head_labels(self.model, pooled, aux)[0])
@@ -362,12 +348,12 @@ class PnPTuner:
     ) -> List[TuningResult]:
         """Tune one region at many power caps with a single graph encoding.
 
-        The GNN encoder runs (at most) once — reusing the pooled-embedding
+        ``predict_sweep_many([region], power_caps, dtype=dtype)[0]``: the
+        GNN encoder runs (at most) once — reusing the pooled-embedding
         cache when warm — and all cap candidates are batched through the
-        dense head, making per-candidate cost a single small matrix product.
-        Only meaningful for the ``"time"`` objective, where the power cap is
-        an auxiliary input; the EDP model chooses the cap itself, so a sweep
-        degenerates to :meth:`predict`.
+        dense head.  Only meaningful for the ``"time"`` objective, where the
+        power cap is an auxiliary input; the EDP model chooses the cap
+        itself, so use :meth:`predict` there.
 
         ``dtype`` overrides the serving precision for this sweep: the model
         weights are cast once (cached until the next ``fit``/weight load) and
@@ -375,40 +361,7 @@ class PnPTuner:
         e.g. ``dtype="float32"`` halves the sweep's memory traffic on a
         float64-trained tuner.
         """
-        self._require_fitted()
-        if self.objective != "time":
-            raise ValueError(
-                "predict_sweep sweeps the power-cap auxiliary input and needs "
-                "objective='time'; the EDP objective picks the cap itself — "
-                "use predict()"
-            )
-        caps = [float(cap) for cap in power_caps]
-        if not caps:
-            return []
-        model = self._model_at(dtype)
-        key = self._embedding_key(region, model)
-        # Warm path: a cached embedding means the region was fully prepared
-        # (graph built, registered, counters profiled) by an earlier query
-        # with these exact characteristics, so the sample construction can
-        # be skipped outright.
-        pooled = self._embedding_cache.get(key)
-        if pooled is None:
-            sample = self.builder.inference_sample(
-                region,
-                power_cap=caps[0],
-                include_counters=self.include_counters,
-                scenario=self.scenario,
-            )
-            pooled = self._pooled_embedding(sample.sample, model, key=key)
-        aux = self.builder.aux_feature_matrix(
-            region.region_id, caps, include_counters=self.include_counters
-        )
-        rows = np.repeat(pooled, len(caps), axis=0)
-        labels = self._head_labels(model, rows, aux)
-        return [
-            self._result_from_label(region.region_id, int(label), cap)
-            for cap, label in zip(caps, labels)
-        ]
+        return self.predict_sweep_many([region], power_caps, dtype=dtype)[0]
 
     def predict_sweep_many(
         self,

@@ -11,12 +11,16 @@ The pipeline, end to end:
    a shippable pure-ndarray :class:`DistilledModel` blob.
 3. :mod:`repro.distill.runtime` — lower the students into the
    allocation-free dense runtime (:class:`MicroRuntime`): no message
-   passing, no graph collation, single-region predict well under the warm
+   passing, no graph collation, a single-region sweep well under the warm
    GNN path's latency, scoring through the host tuner's own compiled head.
+   ``MicroRuntime.predict_sweep`` is its one serving entry and
+   ``MicroRuntime.trusted`` its trust gate.
 
 Serving composes the tiers through :mod:`repro.serve.predictor`: a
-``TieredPredictor`` routes trusted regions to the micro tier and everything
-else to the GNN — byte-identical to the plain tuner on the fallback path.
+``TieredPredictor`` holds the runtime, checks each region's trust gate
+once, and serves trusted regions through ``MicroRuntime.predict_sweep`` and
+everything else through the GNN — byte-identical to the plain tuner on the
+fallback path.
 """
 
 from repro.distill.features import FEATURE_DIM, FEATURE_NAMES, feature_matrix, feature_values

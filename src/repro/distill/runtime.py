@@ -4,7 +4,7 @@
 program machinery the GNN head runs on
 (:class:`~repro.nn.inference.DenseHeadProgram` with input standardization):
 per-(family, dtype) weight stacks cast once, per-row-count workspaces, and
-preallocated feature/row/aux buffers — so a warm single-region predict
+preallocated feature/row/aux buffers — so a warm single-region sweep
 performs **zero numpy array allocations**: Python floats are written into
 the feature buffer, the student program produces the pooled row in its
 workspace, and the host tuner's *own* compiled head scores (pooled, aux)
@@ -68,6 +68,11 @@ class MicroRuntime:
                 "the micro tier serves static features only; a dynamic "
                 "(include_counters=True) tuner cannot host it"
             )
+        if tuner.objective != "time":
+            raise ValueError(
+                "the micro tier sweeps the power-cap auxiliary input and needs "
+                "objective='time'; EDP tuning stays on PnPTuner.predict()"
+            )
         self.distilled = distilled
         self.tuner = tuner
         # (family, dtype name) -> lowered student program.
@@ -116,32 +121,18 @@ class MicroRuntime:
         return sorted(self._gates)
 
     # -------------------------------------------------------------- serving
-    def predict(
-        self, region, power_cap: Optional[float] = None, dtype: Optional[str] = None
-    ) -> TuningResult:
-        """Single-region micro prediction (the sub-100 µs hot path)."""
-        tuner = self.tuner
-        if tuner.objective == "time":
-            if power_cap is None:
-                raise ValueError("power_cap is required for the performance scenario")
-            return self.predict_sweep(region, [power_cap], dtype=dtype)[0]
-        labels = self._labels(region, [1.0], dtype)
-        return tuner._result_from_label(region.region_id, int(labels[0]), None)
-
     def predict_sweep(
         self,
         region,
         power_caps: Sequence[float],
         dtype: Optional[str] = None,
     ) -> List[TuningResult]:
-        """One region at many caps — the student runs once, the head batches."""
+        """One region at many caps — the student runs once, the head batches.
+
+        The runtime's one serving entry: it does not consult the trust gate
+        (:meth:`trusted`), which its router checks once per region.
+        """
         tuner = self.tuner
-        if tuner.objective != "time":
-            raise ValueError(
-                "predict_sweep sweeps the power-cap auxiliary input and needs "
-                "objective='time'; the EDP objective picks the cap itself — "
-                "use predict()"
-            )
         caps = [float(cap) for cap in power_caps]
         if not caps:
             return []
@@ -151,17 +142,6 @@ class MicroRuntime:
         return [
             tuner._result_from_label(region.region_id, int(label), cap)
             for cap, label in zip(caps, labels)
-        ]
-
-    def predict_sweep_many(
-        self,
-        regions: Sequence,
-        power_caps: Sequence[float],
-        dtype: Optional[str] = None,
-    ) -> List[List[TuningResult]]:
-        """Per-region micro sweeps (students are per family; no cross-region batch)."""
-        return [
-            self.predict_sweep(region, power_caps, dtype=dtype) for region in regions
         ]
 
     def _labels(
@@ -199,11 +179,6 @@ class MicroRuntime:
         return head.predict_from_pooled(rows, aux)
 
     # -------------------------------------------------------------- plumbing
-    def _resolve_dtype(self, dtype: Optional[str]) -> np.dtype:
-        if dtype is None:
-            return self.tuner.model.dtype
-        return precision.resolve_dtype(dtype)
-
     def _family_program(self, family: str, dtype: np.dtype) -> _FamilyProgram:
         key = (family, dtype.name)
         program = self._programs.get(key)

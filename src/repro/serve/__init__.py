@@ -46,19 +46,22 @@ provides a seeded, fully deterministic :class:`FaultPlan` (delay / stall /
 truncate / bit-flip / duplicate / reset events addressed by connection,
 frame and byte offset) and a :class:`ChaosProxy` TCP man-in-the-middle
 that ``LocalFleet(chaos=...)`` interposes on any node — the chaos drills
-in ``tests/serve/test_chaos.py`` and the ``serve_chaos`` bench axis replay
-identical corruption histories from a seed alone.
+in ``tests/serve/test_chaos.py`` (``make chaos``) replay identical
+corruption histories from a seed alone.
 
-Every tier speaks the **unified Predictor API** (:mod:`repro.serve.predictor`):
-``predict(region, power_cap, *, dtype=, deadline=)`` and its sweep variants.
-:class:`GNNPredictor` wraps the full tuner path, :class:`MicroPredictor`
-serves distilled micro-models (:mod:`repro.distill`) with a calibrated trust
-gate (:exc:`UntrustedRegion`), and :class:`TieredPredictor` routes between
-them — trusted regions hit the dense-only micro tier, everything else falls
-back to the GNN path byte-identically.  Replicas pick their predictor
-through :func:`~repro.serve.spec.build_predictor_from_update`, so shipping a
-distilled blob in a :class:`~repro.serve.spec.WeightsUpdate` upgrades nodes
-and the gateway fallback to tiered serving uniformly.
+Every tier answers through **one call** of the :class:`Predictor` base
+class (:mod:`repro.serve.predictor`),
+``predict_sweep_many(regions, power_caps, *, dtype=, deadline=)``, from
+which ``predict_sweep`` and ``predict`` are derived.  :class:`GNNPredictor`
+wraps the full tuner path, and :class:`TieredPredictor` passes each region
+through the calibrated trust gate of a distilled
+:class:`~repro.distill.runtime.MicroRuntime` (:mod:`repro.distill`) once —
+trusted regions hit the dense-only micro tier, everything else falls back
+to the GNN path byte-identically.  Nodes and the gateway fallback build
+their predictor through
+:func:`~repro.serve.spec.build_predictor_from_update`, so shipping a
+distilled blob in a :class:`~repro.serve.spec.WeightsUpdate` upgrades both
+to tiered serving uniformly.
 """
 
 from repro.serve.faults import ChaosProxy, FaultEvent, FaultPlan
@@ -68,10 +71,8 @@ from repro.serve.node import NodeServer
 from repro.serve.predictor import (
     DeadlineExceeded,
     GNNPredictor,
-    MicroPredictor,
     Predictor,
     TieredPredictor,
-    UntrustedRegion,
     tiered_predictor,
 )
 from repro.serve.rpc import RpcCorruption, RpcTimeout
@@ -90,14 +91,12 @@ __all__ = [
     "GatewayOverloaded",
     "HashRing",
     "LocalFleet",
-    "MicroPredictor",
     "NodeServer",
     "NodeState",
     "Predictor",
     "RpcCorruption",
     "RpcTimeout",
     "TieredPredictor",
-    "UntrustedRegion",
     "build_predictor_from_update",
     "tiered_predictor",
 ]

@@ -72,10 +72,9 @@ from repro.openmp.region import RegionCharacteristics
 from repro.serve import rpc
 from repro.serve.faults import ChaosProxy
 from repro.serve.node import node_subprocess_main
-from repro.serve.sharding import HashRing
+from repro.serve.sharding import shared_ring
 from repro.serve.spec import (
     WeightsUpdate,
-    build_from_update,
     build_predictor_from_update,
     default_start_method,
     tuner_spec,
@@ -239,7 +238,6 @@ class FleetClient:
         # sweep served by mixed weight generations.
         self._state_lock = threading.RLock()
         self._serving_lock = threading.RLock()
-        self._ring_cache: Dict[Tuple[int, ...], HashRing] = {}
         self._spec = None
         self._weights: Optional[bytes] = None
         self._distilled: Optional[bytes] = None
@@ -375,16 +373,6 @@ class FleetClient:
                 for index, member in self._members.items()
             }
 
-    def _ring_for(self, indices: Sequence[int]) -> HashRing:
-        key = tuple(indices)
-        ring = self._ring_cache.get(key)
-        if ring is None:
-            if len(self._ring_cache) >= 64:
-                self._ring_cache.clear()
-            ring = HashRing(key)
-            self._ring_cache[key] = ring
-        return ring
-
     def assignments(self, region_ids: Sequence[str]) -> List[int]:
         """The current region → member-index routing (pure ring math).
 
@@ -395,7 +383,7 @@ class FleetClient:
         indices = self._serving_indices()
         if not indices:
             raise FleetExhausted(self._failure_reasons())
-        return self._ring_for(indices).assignments(region_ids)
+        return shared_ring(tuple(indices)).assignments(region_ids)
 
     # ------------------------------------------------------- health machine
     def _mark_dead(
@@ -602,14 +590,12 @@ class FleetClient:
                 f"v{rpc.PROTOCOL_VERSION}"
             )
 
-    def _register_payload(self, version: Optional[int] = None) -> Tuple:
+    def _register_payload(self) -> Tuple:
         return (
             "register",
             self._spec,
             WeightsUpdate(
-                version=version or self._version,
-                blob=self._weights,
-                distilled=self._distilled,
+                version=self._version, blob=self._weights, distilled=self._distilled
             ),
             self._dtypes,
         )
@@ -752,7 +738,7 @@ class FleetClient:
                 # fixed membership always produces the same batches, and a
                 # membership change re-shards only the lost/new nodes'
                 # regions — survivors keep their warm caches.
-                ring = self._ring_for(indices)
+                ring = shared_ring(tuple(indices))
                 groups = ring.positions([regions[p].region_id for p in pending])
                 requests: Dict[int, Tuple] = {}
                 membership: Dict[int, List[int]] = {}
@@ -807,36 +793,16 @@ class FleetClient:
             self._mark_dead(member, str(error))
             raise
 
-    def local_fallback_tuner(self) -> PnPTuner:
-        """Rebuild the registered tuner in-process (the dead-fleet slow path).
-
-        Decodes the registered spec + current weights blob through the same
-        :func:`~repro.serve.spec.build_from_update` path the nodes use, so
-        the fallback serves byte-identical answers to the fleet it stands in
-        for.  Used by the gateway's graceful-degradation mode; requires a
-        prior :meth:`register_tuner`.
-        """
-        with self._state_lock:
-            spec = self._spec
-            update = WeightsUpdate(self._version, self._weights)
-            dtypes = self._dtypes
-        if spec is None:
-            raise RuntimeError(
-                "register_tuner() a fleet before building a local fallback"
-            )
-        tuner = build_from_update(spec, update)
-        for dtype in dtypes:
-            tuner.compile_inference(dtype)
-        return tuner
-
     def local_fallback_predictor(self):
-        """The in-process canonical :class:`~repro.serve.predictor.Predictor`.
+        """Rebuild the registered predictor in-process (the dead-fleet slow path).
 
-        Same rebuild path as :meth:`local_fallback_tuner` but returns the
-        predictor the *nodes* serve through — tiered micro/GNN when the
-        registration shipped a distilled blob, plain GNN otherwise — so
-        gateway degradation keeps the fleet's serving semantics, tier
-        routing included.
+        Decodes the registered spec + current weights (version
+        :attr:`weights_version`) through the same
+        :func:`~repro.serve.spec.build_predictor_from_update` path the nodes
+        use, so the fallback serves the predictor the *nodes* serve through —
+        tiered micro/GNN when the registration shipped a distilled blob,
+        plain GNN otherwise — byte for byte.  Used by the gateway's
+        graceful-degradation mode; requires a prior :meth:`register_tuner`.
         """
         with self._state_lock:
             spec = self._spec
@@ -1117,10 +1083,6 @@ class LocalFleet:
                     f"{num_nodes} nodes"
                 )
         return plans
-
-    def chaos_stats(self) -> Dict[int, Dict[str, object]]:
-        """Per-interposed-node proxy counters (connections, frames, faults)."""
-        return {index: proxy.stats() for index, proxy in sorted(self.proxies.items())}
 
     def _spawn_node(self):
         parent_end, child_end = self._context.Pipe()

@@ -1,7 +1,7 @@
 """Overload-hardened request gateway: micro-batching with graceful degradation.
 
-The ROADMAP's north star is serving millions of *independent single-region*
-predict requests, while everything below this layer speaks batches: one
+Clients send *independent single-region* predict requests, while
+everything below this layer speaks batches: one
 :meth:`~repro.core.tuner.PnPTuner.predict_sweep_many` call per fleet node is
 how the encoder amortises its GNN pass.  The asyncio :class:`Gateway` is the
 front door that turns one shape into the other — and hardens the whole path
@@ -34,8 +34,10 @@ against the ways a front door melts:
   (:meth:`~repro.serve.fleet.FleetClient.local_fallback_predictor` — the
   same :func:`~repro.serve.spec.build_predictor_from_update` path the
   nodes use, tiered micro/GNN when a distilled blob is registered, so the
-  slow path keeps the fleet's serving semantics byte for byte).  Beyond
-  the token-bucket rate the fallback sheds with :exc:`GatewayOverloaded`
+  slow path keeps the fleet's serving semantics byte for byte).  The
+  fallback is rebuilt whenever the client's ``weights_version`` moves, so
+  a rolling update reaches the degraded path too.  Beyond the
+  token-bucket rate the fallback sheds with :exc:`GatewayOverloaded`
   rather than sinking the process, and :meth:`Gateway.stats` reports the
   degraded mode plus the fallback's tier counters.
 
@@ -46,9 +48,8 @@ Request lifecycle: **admit → coalesce → dispatch → hedge → degrade**::
         # == tuner.predict_sweep(region, power_caps), byte-identical
 
 The gateway talks to any client exposing ``serving_nodes()``,
-``sweep_node(index, regions, caps, dtype=, timeout=)`` and
-``local_fallback_predictor()`` (or the pre-Predictor
-``local_fallback_tuner()``) — the real
+``sweep_node(index, regions, caps, dtype=, timeout=)``, ``weights_version``
+and ``local_fallback_predictor()`` — the real
 :class:`~repro.serve.fleet.FleetClient` or a deterministic fake
 (``tests/serve/test_gateway.py``).
 """
@@ -66,7 +67,7 @@ from repro.core.tuner import TuningResult
 from repro.openmp.region import RegionCharacteristics
 from repro.serve import rpc
 from repro.serve.predictor import DeadlineExceeded
-from repro.serve.sharding import HashRing
+from repro.serve.sharding import shared_ring
 from repro.utils.logging import get_logger
 
 __all__ = ["DeadlineExceeded", "Gateway", "GatewayOverloaded"]
@@ -195,7 +196,7 @@ class Gateway:
     hedge → degrade.
 
     Construct over a :class:`~repro.serve.fleet.FleetClient` (or any object
-    with the same ``serving_nodes`` / ``sweep_node`` /
+    with the same ``serving_nodes`` / ``sweep_node`` / ``weights_version`` /
     ``local_fallback_predictor`` surface), ``await start()`` (or use ``async
     with``), then issue any number of concurrent
     :meth:`predict` / :meth:`predict_sweep` calls.  All tunables have load-tested defaults;
@@ -231,9 +232,9 @@ class Gateway:
         self._breakers: Dict[int, _CircuitBreaker] = {}
         self._fallback_bucket = _TokenBucket(fallback_rate, fallback_burst, clock)
         self._fallback_predictor = None
+        self._fallback_version: Optional[int] = None
         self._fallback_lock = threading.Lock()
         self._queue: List[_Pending] = []
-        self._rings: Dict[Tuple[int, ...], HashRing] = {}
         self._latencies: List[float] = []  # recent node round trips (bounded)
         self._request_ids = itertools.count()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -322,9 +323,8 @@ class Gateway:
         self,
         region: RegionCharacteristics,
         power_caps: Sequence[float],
-        dtype: Optional[str] = None,
-        timeout: Optional[float] = None,
         *,
+        dtype: Optional[str] = None,
         deadline: Optional[float] = None,
     ) -> List[TuningResult]:
         """One single-region sweep through the batched fleet path.
@@ -332,15 +332,9 @@ class Gateway:
         Byte-identical to ``tuner.predict_sweep(region, power_caps,
         dtype=dtype)`` on the registered tuner, whichever node (or the
         degraded fallback) answers.  Raises :exc:`GatewayOverloaded` when
-        shed, :exc:`DeadlineExceeded` when the time budget (default
-        ``default_timeout``) cannot be met.  ``deadline=`` is the canonical
-        Predictor-API spelling of the budget; ``timeout=`` is the historical
-        gateway spelling — they are the same knob and cannot both be given.
+        shed, :exc:`DeadlineExceeded` when the time budget ``deadline``
+        (seconds; default ``default_timeout``) cannot be met.
         """
-        if timeout is not None and deadline is not None:
-            raise ValueError("pass either deadline= or timeout=, not both")
-        if deadline is not None:
-            timeout = float(deadline)
         if not self._started or self._closed:
             raise RuntimeError("Gateway is not running (start() it first)")
         if len(self._queue) >= self._max_pending:
@@ -354,7 +348,7 @@ class Gateway:
             raise GatewayOverloaded(
                 "gateway pending queue is full", len(self._queue), retry_after
             )
-        budget = self._default_timeout if timeout is None else float(timeout)
+        budget = self._default_timeout if deadline is None else float(deadline)
         pending = _Pending(
             request_id=next(self._request_ids),
             region=region,
@@ -445,17 +439,8 @@ class Gateway:
             candidates = serving  # every node failed it once; retry anywhere
         if not candidates:
             return None
-        return self._ring_for(candidates).node_for(pending.region.region_id)
-
-    def _ring_for(self, indices: Sequence[int]) -> HashRing:
-        key = tuple(sorted(indices))
-        ring = self._rings.get(key)
-        if ring is None:
-            if len(self._rings) >= 64:
-                self._rings.clear()
-            ring = HashRing(key)
-            self._rings[key] = ring
-        return ring
+        ring = shared_ring(tuple(sorted(candidates)))
+        return ring.node_for(pending.region.region_id)
 
     def _breaker(self, index: int) -> _CircuitBreaker:
         breaker = self._breakers.get(index)
@@ -662,15 +647,17 @@ class Gateway:
         dtype: Optional[str],
     ) -> List[List[TuningResult]]:
         with self._fallback_lock:
-            if self._fallback_predictor is None:
-                _LOG.info("building the in-process fallback predictor")
-                build = getattr(self._client, "local_fallback_predictor", None)
-                if callable(build):
-                    self._fallback_predictor = build()
-                else:
-                    # Pre-Predictor clients (and test fakes) expose only the
-                    # tuner; its sweep surface is signature-compatible.
-                    self._fallback_predictor = self._client.local_fallback_tuner()
+            # Read the version before building: a roll that lands mid-build
+            # leaves a stale stamp, so the next call rebuilds once more
+            # rather than serving old weights under a new stamp.
+            version = self._client.weights_version
+            if version != self._fallback_version:
+                _LOG.info(
+                    "building the in-process fallback predictor (weights v%s)",
+                    version,
+                )
+                self._fallback_predictor = self._client.local_fallback_predictor()
+                self._fallback_version = version
             return self._fallback_predictor.predict_sweep_many(
                 regions, list(caps), dtype=dtype
             )

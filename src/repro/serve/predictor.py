@@ -1,34 +1,32 @@
-"""The unified ``Predictor`` protocol and its three implementations.
+"""The ``Predictor`` base class and its two implementations.
 
-Before this module, prediction entry points had grown organically:
-``PnPTuner.predict`` (no ``dtype=``), ``predict_sweep`` /
-``predict_sweep_many`` (``dtype=`` but no deadline), ``predict_samples``
-(its own ``program=`` plumbing), and the gateway's async ``predict_sweep``
-(``timeout=``).  The serving stack now speaks **one canonical signature
-family**:
+Every serving tier answers the paper's scenario-1 question — the best
+OpenMP configuration for each region at each prescribed power cap —
+through **one call**, ``predict_sweep_many``.  The base class derives the
+single-region calls from it once:
 
 .. code-block:: python
 
-    predict(region, power_cap=None, *, dtype=None, deadline=None)
-    predict_sweep(region, power_caps, *, dtype=None, deadline=None)
     predict_sweep_many(regions, power_caps, *, dtype=None, deadline=None)
+    predict_sweep(region, power_caps, *, dtype=None, deadline=None)
+    predict(region, power_cap, *, dtype=None, deadline=None)
 
 ``dtype`` overrides the serving precision (cast-once, exactly as in the
 tuner); ``deadline`` is a time budget in seconds — implementations check it
 on entry and refuse to *return* past it (:class:`DeadlineExceeded`), they do
-not preempt a running kernel.
+not preempt a running kernel.  EDP tuning, where the model picks the cap
+itself, stays on :meth:`~repro.core.tuner.PnPTuner.predict`.
 
-Three implementations:
+Two implementations:
 
 :class:`GNNPredictor`
-    The full tuner path (graph → RGCN → pooled → head).  A thin conformance
-    wrapper over :class:`~repro.core.tuner.PnPTuner`.
-:class:`MicroPredictor`
-    The distilled micro-model tier (:class:`~repro.distill.runtime.MicroRuntime`):
-    dense-only, no message passing.  Raises :class:`UntrustedRegion` for
-    inputs its trust gate rejects.
+    The full tuner path (graph → RGCN → pooled → head): a thin wrapper over
+    :meth:`~repro.core.tuner.PnPTuner.predict_sweep_many`.
 :class:`TieredPredictor`
-    The router: trusted regions → micro tier, everything else → fallback
+    The router over the distilled micro tier
+    (:class:`~repro.distill.runtime.MicroRuntime`): each region passes the
+    runtime's trust gate once; trusted regions are served by the dense-only
+    micro tier, everything else by the fallback in one batched call
     (byte-identical to the tuner, since the fallback *is* the tuner path).
     Tier counters (``micro_hits`` / ``fallbacks``) feed node and gateway
     stats.
@@ -37,7 +35,7 @@ Three implementations:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.tuner import PnPTuner, TuningResult
 from repro.distill.runtime import MicroRuntime
@@ -46,10 +44,8 @@ from repro.openmp.region import RegionCharacteristics
 
 __all__ = [
     "DeadlineExceeded",
-    "UntrustedRegion",
     "Predictor",
     "GNNPredictor",
-    "MicroPredictor",
     "TieredPredictor",
     "tiered_predictor",
 ]
@@ -57,10 +53,6 @@ __all__ = [
 
 class DeadlineExceeded(TimeoutError):
     """The request's deadline elapsed (or cannot be met) — failed fast."""
-
-
-class UntrustedRegion(LookupError):
-    """The micro tier's trust gate rejected the region (use the GNN path)."""
 
 
 def _deadline_at(deadline: Optional[float]) -> Optional[float]:
@@ -77,27 +69,8 @@ def _check_deadline(expires_at: Optional[float]) -> None:
         raise DeadlineExceeded("prediction exceeded its deadline")
 
 
-@runtime_checkable
-class Predictor(Protocol):
-    """What every serving tier implements — the one signature family."""
-
-    def predict(
-        self,
-        region: RegionCharacteristics,
-        power_cap: Optional[float] = None,
-        *,
-        dtype: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> TuningResult: ...
-
-    def predict_sweep(
-        self,
-        region: RegionCharacteristics,
-        power_caps: Sequence[float],
-        *,
-        dtype: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> List[TuningResult]: ...
+class Predictor:
+    """A serving tier: implement :meth:`predict_sweep_many`, get the rest."""
 
     def predict_sweep_many(
         self,
@@ -106,36 +79,9 @@ class Predictor(Protocol):
         *,
         dtype: Optional[str] = None,
         deadline: Optional[float] = None,
-    ) -> List[List[TuningResult]]: ...
-
-
-class GNNPredictor:
-    """The full GNN tuner path behind the canonical signatures."""
-
-    def __init__(self, tuner: PnPTuner) -> None:
-        self.tuner = tuner
-
-    def predict(
-        self,
-        region: RegionCharacteristics,
-        power_cap: Optional[float] = None,
-        *,
-        dtype: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> TuningResult:
-        expires_at = _deadline_at(deadline)
-        if self.tuner.objective == "time":
-            if power_cap is None:
-                raise ValueError("power_cap is required for the performance scenario")
-            result = self.tuner.predict_sweep(region, [power_cap], dtype=dtype)[0]
-        else:
-            if dtype is not None:
-                raise ValueError(
-                    "dtype overrides are supported for the 'time' objective only"
-                )
-            result = self.tuner.predict(region, power_cap)
-        _check_deadline(expires_at)
-        return result
+    ) -> List[List[TuningResult]]:
+        """Every region at every cap; ``results[i][j]`` is region i at cap j."""
+        raise NotImplementedError
 
     def predict_sweep(
         self,
@@ -145,10 +91,32 @@ class GNNPredictor:
         dtype: Optional[str] = None,
         deadline: Optional[float] = None,
     ) -> List[TuningResult]:
-        expires_at = _deadline_at(deadline)
-        results = self.tuner.predict_sweep(region, power_caps, dtype=dtype)
-        _check_deadline(expires_at)
-        return results
+        """One region at every cap."""
+        return self.predict_sweep_many(
+            [region], power_caps, dtype=dtype, deadline=deadline
+        )[0]
+
+    def predict(
+        self,
+        region: RegionCharacteristics,
+        power_cap: Optional[float] = None,
+        *,
+        dtype: Optional[str] = None,
+        deadline: Optional[float] = None,
+    ) -> TuningResult:
+        """One region at one cap."""
+        if power_cap is None:
+            raise ValueError("power_cap is required for the performance scenario")
+        return self.predict_sweep(
+            region, [power_cap], dtype=dtype, deadline=deadline
+        )[0]
+
+
+class GNNPredictor(Predictor):
+    """The full GNN tuner path behind the canonical signatures."""
+
+    def __init__(self, tuner: PnPTuner) -> None:
+        self.tuner = tuner
 
     def predict_sweep_many(
         self,
@@ -164,71 +132,7 @@ class GNNPredictor:
         return results
 
 
-class MicroPredictor:
-    """The distilled micro tier behind the canonical signatures.
-
-    Every entry point enforces the trust gate — callers that want automatic
-    fallback route through :class:`TieredPredictor` instead.
-    """
-
-    def __init__(self, runtime: MicroRuntime) -> None:
-        self.runtime = runtime
-
-    def trusted(self, region: RegionCharacteristics) -> bool:
-        return self.runtime.trusted(region)
-
-    def _require_trusted(self, region: RegionCharacteristics) -> None:
-        if not self.runtime.trusted(region):
-            raise UntrustedRegion(
-                f"region {region.region_id!r} is outside the calibrated "
-                "micro-model ranges"
-            )
-
-    def predict(
-        self,
-        region: RegionCharacteristics,
-        power_cap: Optional[float] = None,
-        *,
-        dtype: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> TuningResult:
-        expires_at = _deadline_at(deadline)
-        self._require_trusted(region)
-        result = self.runtime.predict(region, power_cap, dtype=dtype)
-        _check_deadline(expires_at)
-        return result
-
-    def predict_sweep(
-        self,
-        region: RegionCharacteristics,
-        power_caps: Sequence[float],
-        *,
-        dtype: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> List[TuningResult]:
-        expires_at = _deadline_at(deadline)
-        self._require_trusted(region)
-        results = self.runtime.predict_sweep(region, power_caps, dtype=dtype)
-        _check_deadline(expires_at)
-        return results
-
-    def predict_sweep_many(
-        self,
-        regions: Sequence[RegionCharacteristics],
-        power_caps: Sequence[float],
-        *,
-        dtype: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> List[List[TuningResult]]:
-        expires_at = _deadline_at(deadline)
-        for region in regions:
-            self._require_trusted(region)
-        results = self.runtime.predict_sweep_many(regions, power_caps, dtype=dtype)
-        _check_deadline(expires_at)
-        return results
-
-
-class TieredPredictor:
+class TieredPredictor(Predictor):
     """Route trusted regions to the micro tier, the rest to the fallback.
 
     The fallback path is the plain tuner path — results for untrusted
@@ -236,7 +140,7 @@ class TieredPredictor:
     tally *regions served* per tier and surface in node/gateway stats.
     """
 
-    def __init__(self, micro: MicroPredictor, fallback: Predictor) -> None:
+    def __init__(self, micro: MicroRuntime, fallback: Predictor) -> None:
         self.micro = micro
         self.fallback = fallback
         self._micro_hits = 0
@@ -247,7 +151,7 @@ class TieredPredictor:
         return {
             "micro_hits": self._micro_hits,
             "fallbacks": self._fallbacks,
-            "micro_families": len(self.micro.runtime.families()),
+            "micro_families": len(self.micro.families()),
         }
 
     def reset_tier_stats(self) -> None:
@@ -255,38 +159,6 @@ class TieredPredictor:
         self._fallbacks = 0
 
     # -------------------------------------------------------------- serving
-    def predict(
-        self,
-        region: RegionCharacteristics,
-        power_cap: Optional[float] = None,
-        *,
-        dtype: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> TuningResult:
-        if self.micro.trusted(region):
-            self._micro_hits += 1
-            return self.micro.predict(region, power_cap, dtype=dtype, deadline=deadline)
-        self._fallbacks += 1
-        return self.fallback.predict(region, power_cap, dtype=dtype, deadline=deadline)
-
-    def predict_sweep(
-        self,
-        region: RegionCharacteristics,
-        power_caps: Sequence[float],
-        *,
-        dtype: Optional[str] = None,
-        deadline: Optional[float] = None,
-    ) -> List[TuningResult]:
-        if self.micro.trusted(region):
-            self._micro_hits += 1
-            return self.micro.predict_sweep(
-                region, power_caps, dtype=dtype, deadline=deadline
-            )
-        self._fallbacks += 1
-        return self.fallback.predict_sweep(
-            region, power_caps, dtype=dtype, deadline=deadline
-        )
-
     def predict_sweep_many(
         self,
         regions: Sequence[RegionCharacteristics],
@@ -312,9 +184,7 @@ class TieredPredictor:
         for region, flag in zip(regions, trusted_flags):
             if flag:
                 self._micro_hits += 1
-                results.append(
-                    self.micro.predict_sweep(region, power_caps, dtype=dtype)
-                )
+                results.append(self.micro.predict_sweep(region, power_caps, dtype))
             else:
                 self._fallbacks += 1
                 results.append(next(fallback_results))
@@ -324,5 +194,4 @@ class TieredPredictor:
 
 def tiered_predictor(tuner: PnPTuner, distilled: DistilledModel) -> TieredPredictor:
     """Wire the standard two-tier stack over one tuner + distilled model."""
-    runtime = MicroRuntime(distilled, tuner)
-    return TieredPredictor(MicroPredictor(runtime), GNNPredictor(tuner))
+    return TieredPredictor(MicroRuntime(distilled, tuner), GNNPredictor(tuner))

@@ -12,15 +12,20 @@ nodes crash, recover, join and leave at runtime.  Removing a node moves
 **only that node's keys** to the survivors (the survivors' own keys never
 move, so their embedding caches stay warm), and adding a node steals only
 ≈``1/(N+1)`` of the keys.
+
+Routers look rings up through :func:`shared_ring`, one memo per process
+keyed by the serving membership, so a steady membership builds its ring
+once.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
-from typing import Dict, Hashable, Iterable, List, Sequence
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-__all__ = ["HashRing"]
+__all__ = ["HashRing", "shared_ring"]
 
 
 class HashRing:
@@ -117,3 +122,15 @@ class HashRing:
         for position, node in enumerate(self.assignments(keys)):
             positions.setdefault(node, []).append(position)
         return positions
+
+
+@functools.lru_cache(maxsize=64)
+def shared_ring(nodes: Tuple[Hashable, ...]) -> HashRing:
+    """The :class:`HashRing` over ``nodes``, built once per membership.
+
+    Every caller with the same membership gets the same ring object, so
+    callers must never ``add`` to or ``remove`` from it.  The ring's point
+    order does not depend on the order of ``nodes``; pass them sorted so
+    that one membership has one memo entry.
+    """
+    return HashRing(nodes)

@@ -12,6 +12,10 @@ module owns the pieces of that shipping:
 * :func:`build_serving_tuner` — rebuild the tuner from a spec and a state
   dictionary, and eagerly compile the autograd-free inference program so the
   replica's first request pays no lowering cost;
+* :func:`build_predictor_from_update` — decode a :class:`WeightsUpdate` into
+  that tuner plus the predictor a replica serves through (tiered when the
+  update carries a distilled blob), the one rebuild path of nodes and the
+  gateway's in-process fallback;
 * :func:`weights_blob` / :func:`state_from_blob` — the ``.npz``
   serialization round-trip as in-memory bytes, for transports without a
   shared filesystem;
@@ -38,7 +42,6 @@ import numpy as np
 
 from repro.core.model import ModelConfig
 from repro.core.tuner import PnPTuner
-from repro.nn import serialization
 from repro.openmp.region import RegionCharacteristics
 
 __all__ = [
@@ -46,7 +49,6 @@ __all__ = [
     "WeightsUpdate",
     "tuner_spec",
     "build_serving_tuner",
-    "build_from_update",
     "build_predictor_from_update",
     "weights_blob",
     "state_from_blob",
@@ -114,26 +116,20 @@ def tuner_spec(tuner: PnPTuner) -> TunerSpec:
 
 
 def build_serving_tuner(
-    spec: TunerSpec,
-    state: Optional[Mapping[str, np.ndarray]] = None,
-    weights_path: Optional[str] = None,
+    spec: TunerSpec, state: Mapping[str, np.ndarray]
 ) -> PnPTuner:
     """Reconstruct a serving tuner from a spec plus its fitted weights.
 
-    The weights come either from an in-memory ``state`` dictionary (the TCP
-    registration path — see :func:`state_from_blob`) or from a
-    ``weights_path`` ``.npz`` archive (the local worker-pool path); exactly
-    one must be given.  The rebuilt tuner eagerly lowers the loaded weights
-    into the compiled inference program, so the replica's first request pays
-    no compile latency.
+    ``state`` is the in-memory state dictionary (the TCP registration path —
+    see :func:`state_from_blob`).  The rebuilt tuner eagerly lowers the
+    loaded weights into the compiled inference program, so the replica's
+    first request pays no compile latency.
     """
     from repro.core.dataset import DatasetBuilder
     from repro.core.measurements import MeasurementDatabase
     from repro.core.search_space import SearchSpace
     from repro.hw.machine import Machine
 
-    if (state is None) == (weights_path is None):
-        raise ValueError("exactly one of state / weights_path is required")
     regions = [r for rs in spec.regions_by_app.values() for r in rs]
     machine = Machine.named(
         spec.system, seed=spec.machine_seed, noise_fraction=spec.noise_fraction
@@ -150,28 +146,19 @@ def build_serving_tuner(
     tuner.builder = DatasetBuilder(
         database, regions_by_app=spec.regions_by_app, seed=spec.seed
     )
-    if weights_path is not None:
-        state = serialization.load_state_dict(weights_path)
     tuner.load_state_dict(dict(state))
     tuner.compile_inference()
     return tuner
 
 
-def build_from_update(spec: TunerSpec, update: WeightsUpdate) -> PnPTuner:
-    """Rebuild a serving tuner from a spec plus a versioned weight payload.
-
-    The one decode-and-rebuild path shared by the node's ``register``
-    handler and the gateway's dead-fleet in-process fallback, so both
-    always serve byte-identical parameter arrays for a given
-    :class:`WeightsUpdate`.
-    """
-    return build_serving_tuner(spec, state=state_from_blob(update.blob))
-
-
 def build_predictor_from_update(spec: TunerSpec, update: WeightsUpdate):
     """Rebuild ``(tuner, predictor)`` from a spec plus a versioned payload.
 
-    The canonical serving entry point for replicas: a
+    The one decode-and-rebuild path shared by the node's ``register``
+    handler and the gateway's dead-fleet in-process fallback
+    (:meth:`~repro.serve.fleet.FleetClient.local_fallback_predictor`), so
+    both always serve byte-identical parameter arrays for a given
+    :class:`WeightsUpdate`: a
     :class:`~repro.serve.predictor.TieredPredictor` (micro tier routed over
     the GNN fallback) when the update carries a distilled micro-model blob,
     a plain :class:`~repro.serve.predictor.GNNPredictor` otherwise.  The
@@ -181,7 +168,7 @@ def build_predictor_from_update(spec: TunerSpec, update: WeightsUpdate):
     from repro.distill.student import DistilledModel
     from repro.serve.predictor import GNNPredictor, tiered_predictor
 
-    tuner = build_from_update(spec, update)
+    tuner = build_serving_tuner(spec, state_from_blob(update.blob))
     if update.distilled is None:
         return tuner, GNNPredictor(tuner)
     return tuner, tiered_predictor(tuner, DistilledModel.from_blob(update.distilled))

@@ -1,18 +1,19 @@
-"""Predictor-protocol conformance, run against all three implementations.
+"""Predictor conformance, run against both implementations.
 
-One canonical signature family — ``predict(region, cap, *, dtype=,
-deadline=)`` and the sweep variants — implemented by the GNN path, the
-micro tier and the tiered router.  These tests drive each implementation
-through the same battery: structural protocol membership, deadline
-semantics, dtype overrides, and single-cap/sweep consistency.
+One canonical signature family — ``predict_sweep_many(regions, caps, *,
+dtype=, deadline=)``, with ``predict_sweep`` and ``predict`` derived from it
+by the ``Predictor`` base class — implemented by the GNN path and the
+tiered router over the micro tier.  These tests drive each implementation
+through the same battery: base-class membership, deadline semantics, dtype
+overrides, and single-cap/sweep consistency.
 """
 
 import pytest
 
+from repro.distill.runtime import MicroRuntime
 from repro.serve.predictor import (
     DeadlineExceeded,
     GNNPredictor,
-    MicroPredictor,
     Predictor,
     TieredPredictor,
     tiered_predictor,
@@ -23,11 +24,9 @@ CAPS = [60.0, 95.0]
 
 @pytest.fixture(scope="module")
 def predictors(teacher_tuner, distilled_model):
-    tiered = tiered_predictor(teacher_tuner, distilled_model)
     return {
         "gnn": GNNPredictor(teacher_tuner),
-        "micro": tiered.micro,
-        "tiered": tiered,
+        "tiered": tiered_predictor(teacher_tuner, distilled_model),
     }
 
 
@@ -36,7 +35,7 @@ def region(full_regions_by_app):
     return next(iter(full_regions_by_app.values()))[0]
 
 
-NAMES = ["gnn", "micro", "tiered"]
+NAMES = ["gnn", "tiered"]
 
 
 class TestProtocolMembership:
@@ -46,8 +45,8 @@ class TestProtocolMembership:
 
     def test_classes_cover_the_three_tiers(self, predictors):
         assert isinstance(predictors["gnn"], GNNPredictor)
-        assert isinstance(predictors["micro"], MicroPredictor)
         assert isinstance(predictors["tiered"], TieredPredictor)
+        assert isinstance(predictors["tiered"].micro, MicroRuntime)
 
 
 class TestSignatures:

@@ -37,12 +37,12 @@ def region(full_regions_by_app):
 
 def _warm_predict_peak_bytes(runtime, region) -> int:
     """Tracemalloc peak over one warm single-region predict (all domains)."""
-    runtime.predict(region, CAPS[0])  # ensure buffers are bound
+    runtime.predict_sweep(region, [CAPS[0]])  # ensure buffers are bound
     tracemalloc.start()
-    runtime.predict(region, CAPS[0])
+    runtime.predict_sweep(region, [CAPS[0]])
     tracemalloc.reset_peak()
     before, _ = tracemalloc.get_traced_memory()
-    runtime.predict(region, CAPS[0])
+    runtime.predict_sweep(region, [CAPS[0]])
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return peak - before
@@ -50,11 +50,11 @@ def _warm_predict_peak_bytes(runtime, region) -> int:
 
 def _retained_numpy_blocks(runtime, region, repeats: int = 32) -> int:
     """Net numpy-data-domain blocks retained across ``repeats`` warm predicts."""
-    runtime.predict(region, CAPS[0])
+    runtime.predict_sweep(region, [CAPS[0]])
     tracemalloc.start()
     base = tracemalloc.take_snapshot()
     for _ in range(repeats):
-        runtime.predict(region, CAPS[0])
+        runtime.predict_sweep(region, [CAPS[0]])
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.stop()
     domain = (tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain),)
@@ -93,7 +93,7 @@ class TestCacheAccounting:
     def test_micro_buffers_show_up_in_tuner_stats(
         self, teacher_tuner, runtime, region
     ):
-        runtime.predict(region, CAPS[0])
+        runtime.predict_sweep(region, [CAPS[0]])
         stats = teacher_tuner.inference_cache_stats()
         assert stats["micro_runtimes"] >= 1
         assert stats["micro_programs"] >= 1
@@ -103,7 +103,7 @@ class TestCacheAccounting:
     def test_clear_inference_buffers_sheds_the_micro_tier(
         self, teacher_tuner, runtime, region
     ):
-        runtime.predict(region, CAPS[0])
+        runtime.predict_sweep(region, [CAPS[0]])
         teacher_tuner.clear_inference_buffers()
         micro = runtime.buffer_stats()
         assert micro["micro_programs"] == 0
@@ -128,8 +128,8 @@ class TestCacheAccounting:
         tiered = tiered_predictor(teacher_tuner, distilled_model)
         tiered.predict(region, CAPS[0])
         teacher_tuner.clear_inference_buffers()
-        assert tiered.micro.runtime.buffer_stats()["micro_bytes"] == 0
+        assert tiered.micro.buffer_stats()["micro_bytes"] == 0
         # And the path still serves identically after the shed.
-        assert tiered.predict(region, CAPS[0]) == tiered.micro.predict(
-            region, CAPS[0]
-        )
+        assert tiered.predict(region, CAPS[0]) == tiered.micro.predict_sweep(
+            region, [CAPS[0]]
+        )[0]

@@ -13,13 +13,7 @@ import pytest
 
 from repro.distill.generate import perturb_out_of_family
 from repro.distill.runtime import MicroRuntime
-from repro.serve.predictor import (
-    GNNPredictor,
-    MicroPredictor,
-    TieredPredictor,
-    UntrustedRegion,
-    tiered_predictor,
-)
+from repro.serve.predictor import GNNPredictor, TieredPredictor, tiered_predictor
 
 CAPS = [60.0, 95.0]
 
@@ -50,16 +44,6 @@ class TestGate:
         region = _all_regions(full_regions_by_app)[0]
         stranger = dataclasses.replace(region, application="never-distilled")
         assert not tiered.micro.trusted(stranger)
-
-    def test_micro_predictor_refuses_untrusted(self, full_regions_by_app, tiered):
-        outside = perturb_out_of_family(_all_regions(full_regions_by_app)[0])
-        micro = tiered.micro
-        with pytest.raises(UntrustedRegion):
-            micro.predict(outside, CAPS[0])
-        with pytest.raises(UntrustedRegion):
-            micro.predict_sweep(outside, CAPS)
-        with pytest.raises(UntrustedRegion):
-            micro.predict_sweep_many([outside], CAPS)
 
     def test_max_error_budget_excludes_families(
         self, teacher_tuner, distilled_model
@@ -113,6 +97,27 @@ class TestRouting:
         assert stats["micro_hits"] == 2
         assert stats["fallbacks"] == 2
 
+    def test_mixed_batch_checks_the_gate_once_per_region(
+        self, full_regions_by_app, tiered, monkeypatch
+    ):
+        regions = _all_regions(full_regions_by_app)[:4]
+        batch = [
+            regions[0],
+            perturb_out_of_family(regions[1]),
+            regions[2],
+            perturb_out_of_family(regions[3]),
+        ]
+        checked = []
+        gate = MicroRuntime.trusted
+
+        def counting(runtime, region):
+            checked.append(region)
+            return gate(runtime, region)
+
+        monkeypatch.setattr(MicroRuntime, "trusted", counting)
+        tiered.predict_sweep_many(batch, CAPS)
+        assert [id(region) for region in checked] == [id(region) for region in batch]
+
     def test_reset_tier_stats(self, full_regions_by_app, tiered):
         region = _all_regions(full_regions_by_app)[0]
         tiered.predict_sweep(region, CAPS)
@@ -122,5 +127,5 @@ class TestRouting:
 
     def test_factory_wires_the_standard_stack(self, tiered):
         assert isinstance(tiered, TieredPredictor)
-        assert isinstance(tiered.micro, MicroPredictor)
+        assert isinstance(tiered.micro, MicroRuntime)
         assert isinstance(tiered.fallback, GNNPredictor)

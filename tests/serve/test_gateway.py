@@ -80,6 +80,7 @@ class FakeClient:
         self.nodes = {index: FakeNode() for index in range(num_nodes)}
         self.fallback_tuner = fallback_tuner
         self.fallback_builds = 0
+        self.weights_version = 1
 
     def serving_nodes(self):
         return sorted(self.nodes)
@@ -96,7 +97,7 @@ class FakeClient:
             for region in regions
         ]
 
-    def local_fallback_tuner(self):
+    def local_fallback_predictor(self):
         self.fallback_builds += 1
         return self.fallback_tuner
 
@@ -192,10 +193,6 @@ class TestPredictorSurface:
                     await gateway.predict_sweep(
                         FakeRegion("a"), CAPS, deadline=0.01
                     )
-                with pytest.raises(ValueError, match="not both"):
-                    await gateway.predict_sweep(
-                        FakeRegion("a"), CAPS, timeout=1.0, deadline=1.0
-                    )
 
         run(scenario())
 
@@ -212,7 +209,7 @@ class TestDeadlines:
             client = FakeClient(num_nodes=1)
             async with Gateway(client, window_s=0.2) as gateway:
                 with pytest.raises(DeadlineExceeded, match="expired"):
-                    await gateway.predict_sweep(FakeRegion("a"), CAPS, timeout=0.01)
+                    await gateway.predict_sweep(FakeRegion("a"), CAPS, deadline=0.01)
             assert client.nodes[0].calls == []
             assert gateway.stats()["expired"] == 1
 
@@ -223,7 +220,7 @@ class TestDeadlines:
             client = FakeClient(num_nodes=1)
             async with Gateway(client, window_s=0.01) as gateway:
                 result = await gateway.predict_sweep(
-                    FakeRegion("a"), CAPS, timeout=5.0
+                    FakeRegion("a"), CAPS, deadline=5.0
                 )
             assert result == expected_answer("a")
 
@@ -238,7 +235,7 @@ class TestDeadlines:
                 await gateway.predict_sweep(FakeRegion("warm"), CAPS)
                 # ...then ask for an answer faster than it can ever come.
                 with pytest.raises(DeadlineExceeded, match="expected"):
-                    await gateway.predict_sweep(FakeRegion("a"), CAPS, timeout=0.05)
+                    await gateway.predict_sweep(FakeRegion("a"), CAPS, deadline=0.05)
             assert len(client.nodes[0].calls) == 1  # never dispatched
             assert gateway.stats()["deadline_rejected"] == 1
 
@@ -253,7 +250,7 @@ class TestDeadlines:
             ) as gateway:
                 started = time.monotonic()
                 with pytest.raises(DeadlineExceeded):
-                    await gateway.predict_sweep(FakeRegion("a"), CAPS, timeout=0.2)
+                    await gateway.predict_sweep(FakeRegion("a"), CAPS, deadline=0.2)
                 assert time.monotonic() - started < 2.0
 
         run(scenario())
@@ -298,7 +295,7 @@ class TestHedging:
             async with Gateway(
                 client, window_s=0.005, hedge_delay_floor=0.05
             ) as gateway:
-                result = await gateway.predict_sweep(region, CAPS, timeout=5.0)
+                result = await gateway.predict_sweep(region, CAPS, deadline=5.0)
             # First answer (the hedge) wins and is byte-identical to what
             # the slow primary would eventually have said.
             assert result == expected_answer("hedge-me")
@@ -416,7 +413,7 @@ class TestCircuitBreaker:
                 breaker_failures=100,  # keep both nodes routable throughout
             ) as gateway:
                 with pytest.raises(RuntimeError, match="failed on nodes"):
-                    await gateway.predict_sweep(FakeRegion("a"), CAPS, timeout=5.0)
+                    await gateway.predict_sweep(FakeRegion("a"), CAPS, deadline=5.0)
             assert gateway.stats()["failed"] == 1
 
         run(scenario())
@@ -454,6 +451,28 @@ class TestDegradation:
                 await gateway.predict_sweep(FakeRegion("a"), CAPS)
                 await gateway.predict_sweep(FakeRegion("b"), CAPS)
             assert client.fallback_builds == 1
+
+        run(scenario())
+
+    def test_fallback_is_rebuilt_after_a_weights_update(self):
+        class Versioned:
+            def __init__(self, version):
+                self.version = version
+
+            def predict_sweep_many(self, regions, power_caps, dtype=None):
+                return [[(region.region_id, self.version)] for region in regions]
+
+        async def scenario():
+            client = FakeClient(num_nodes=0, fallback_tuner=Versioned(1))
+            async with Gateway(client, window_s=0.005) as gateway:
+                first = await gateway.predict_sweep(FakeRegion("a"), CAPS)
+                client.weights_version = 2
+                client.fallback_tuner = Versioned(2)
+                second = await gateway.predict_sweep(FakeRegion("a"), CAPS)
+                third = await gateway.predict_sweep(FakeRegion("b"), CAPS)
+            assert first == [("a", 1)]
+            assert second == [("a", 2)] and third == [("b", 2)]
+            assert client.fallback_builds == 2
 
         run(scenario())
 

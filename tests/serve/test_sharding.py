@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.serve import HashRing
+from repro.serve.sharding import shared_ring
 
 
 def _benchsuite_region_ids():
@@ -58,6 +59,9 @@ class TestHashRingDeterminism:
     def test_rebuilt_ring_matches(self):
         ids = _benchsuite_region_ids()
         assert HashRing(range(3)).assignments(ids) == HashRing(range(3)).assignments(ids)
+        # The routers' memoised ring routes like a fresh one, built once.
+        assert shared_ring((0, 1, 2)).assignments(ids) == HashRing(range(3)).assignments(ids)
+        assert shared_ring((0, 1, 2)) is shared_ring((0, 1, 2))
 
     def test_identical_across_processes(self):
         """The assignment must survive a fresh interpreter (no salted hash)."""
