@@ -5,11 +5,14 @@ dtype=, deadline=)``, with ``predict_sweep`` and ``predict`` derived from it
 by the ``Predictor`` base class — implemented by the GNN path and the
 tiered router over the micro tier.  These tests drive each implementation
 through the same battery: base-class membership, deadline semantics, dtype
-overrides, and single-cap/sweep consistency.
+overrides, and single-cap/sweep consistency.  The tiered router runs the
+battery twice, once per tier: on a region its trust gate admits (the micro
+tier answers) and on an out-of-family region (the GNN fallback answers).
 """
 
 import pytest
 
+from repro.distill.generate import perturb_out_of_family
 from repro.distill.runtime import MicroRuntime
 from repro.serve.predictor import (
     DeadlineExceeded,
@@ -35,7 +38,24 @@ def region(full_regions_by_app):
     return next(iter(full_regions_by_app.values()))[0]
 
 
+@pytest.fixture(scope="module")
+def served(predictors, region):
+    """Case name -> (predictor, the region it answers in that case)."""
+    tiered = predictors["tiered"]
+    outside = perturb_out_of_family(region)
+    # Each tiered case must take the tier it is named for.
+    assert tiered.micro.trusted(region)
+    assert not tiered.micro.trusted(outside)
+    return {
+        "gnn": (predictors["gnn"], region),
+        "tiered": (tiered, region),
+        "fallback": (tiered, outside),
+    }
+
+
 NAMES = ["gnn", "tiered"]
+# The predictors above, plus the tiered router answering through its fallback.
+CASES = NAMES + ["fallback"]
 
 
 class TestProtocolMembership:
@@ -50,24 +70,25 @@ class TestProtocolMembership:
 
 
 class TestSignatures:
-    @pytest.mark.parametrize("name", NAMES)
-    def test_predict_matches_single_cap_sweep(self, predictors, region, name):
-        predictor = predictors[name]
+    @pytest.mark.parametrize("name", CASES)
+    def test_predict_matches_single_cap_sweep(self, served, name):
+        predictor, region = served[name]
         assert predictor.predict(region, CAPS[0]) == (
             predictor.predict_sweep(region, [CAPS[0]])[0]
         )
 
-    @pytest.mark.parametrize("name", NAMES)
-    def test_sweep_many_matches_per_region_sweeps(self, predictors, region, name):
-        predictor = predictors[name]
+    @pytest.mark.parametrize("name", CASES)
+    def test_sweep_many_matches_per_region_sweeps(self, served, name):
+        predictor, region = served[name]
         assert predictor.predict_sweep_many([region, region], CAPS) == [
             predictor.predict_sweep(region, CAPS),
             predictor.predict_sweep(region, CAPS),
         ]
 
-    @pytest.mark.parametrize("name", NAMES)
-    def test_dtype_override_is_accepted(self, predictors, region, name):
-        results = predictors[name].predict_sweep(region, CAPS, dtype="float32")
+    @pytest.mark.parametrize("name", CASES)
+    def test_dtype_override_is_accepted(self, served, name):
+        predictor, region = served[name]
+        results = predictor.predict_sweep(region, CAPS, dtype="float32")
         assert len(results) == len(CAPS)
 
     def test_gnn_predictor_is_the_tuner_path(self, predictors, teacher_tuner, region):
@@ -80,10 +101,10 @@ class TestSignatures:
 
 
 class TestDeadlines:
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("budget", [0.0, -1.0])
-    def test_non_positive_deadline_fails_fast(self, predictors, region, name, budget):
-        predictor = predictors[name]
+    def test_non_positive_deadline_fails_fast(self, served, name, budget):
+        predictor, region = served[name]
         with pytest.raises(DeadlineExceeded):
             predictor.predict(region, CAPS[0], deadline=budget)
         with pytest.raises(DeadlineExceeded):
@@ -91,9 +112,10 @@ class TestDeadlines:
         with pytest.raises(DeadlineExceeded):
             predictor.predict_sweep_many([region], CAPS, deadline=budget)
 
-    @pytest.mark.parametrize("name", NAMES)
-    def test_generous_deadline_succeeds(self, predictors, region, name):
-        results = predictors[name].predict_sweep(region, CAPS, deadline=60.0)
+    @pytest.mark.parametrize("name", CASES)
+    def test_generous_deadline_succeeds(self, served, name):
+        predictor, region = served[name]
+        results = predictor.predict_sweep(region, CAPS, deadline=60.0)
         assert len(results) == len(CAPS)
 
     def test_deadline_is_keyword_only(self, predictors, region):
