@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint coverage chaos bench-smoke perf-smoke shuffle-study bench
+.PHONY: test lint coverage chaos bench-smoke perf-smoke bench
 
 # Tier-1 verification: the full unit test suite.
 test:
@@ -54,11 +54,6 @@ bench-smoke:
 perf-smoke:
 	$(PYTHON) -m benchmarks.perf --workload tune_suite_cv --seed 0 --seconds 1
 	$(PYTHON) -m benchmarks.perf --workload serve_novel --seed 0 --seconds 1
-
-# shuffle="batches" accuracy study on the 68-region suite (records the
-# batches-vs-samples accuracy delta backing the profile knob).
-shuffle-study:
-	$(PYTHON) -m benchmarks.shuffle_study
 
 # The paper-figure benchmark suite (pytest-benchmark harness): Figures 2-7,
 # the headline summary, the feature ablation, transfer learning and the

@@ -38,7 +38,7 @@ def save_result(results_dir):
     """Write a figure/table rendering to ``benchmarks/results/<name>.txt``."""
 
     def _save(name: str, text: str) -> str:
-        path = figure_cache.results_path(name, "txt")
+        path = figure_cache.results_path(name)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(f"\n[{name}] written to {path}\n")

@@ -4,39 +4,28 @@ Figure 7 re-uses the EDP experiment of Figure 6, and the headline-summary
 bench re-uses Figures 2, 3 and 6; caching the experiment results keeps the
 whole benchmark suite's runtime close to the sum of unique experiments.
 
-This module also owns the benchmark output conventions: formatted text goes
-to ``benchmarks/results/<name>.txt`` (see ``conftest.save_result``) and
-machine-readable payloads to ``benchmarks/results/<name>.json`` via
-:func:`save_json` (used by ``shuffle_study``).
+This module also owns the benchmark output convention: formatted text goes
+to ``benchmarks/results/<name>.txt`` (see ``conftest.save_result``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict
 
 # NOTE: the repro.experiments stack is imported lazily inside the accessor
-# functions — this module is also imported for its results-path conventions
-# (by conftest.py at pytest collection time and by shuffle_study), which must
-# stay cheap and not depend on the experiment code importing cleanly.
+# functions — this module is also imported for its results-path convention
+# (by conftest.py at pytest collection time), which must stay cheap and not
+# depend on the experiment code importing cleanly.
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
 
-def results_path(name: str, extension: str = "txt") -> str:
-    """Canonical path of a benchmark artifact under ``benchmarks/results``."""
+def results_path(name: str) -> str:
+    """Canonical path of a benchmark text artifact under ``benchmarks/results``."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    return os.path.join(RESULTS_DIR, f"{name}.{extension}")
+    return os.path.join(RESULTS_DIR, f"{name}.txt")
 
-
-def save_json(name: str, payload: Dict[str, object]) -> str:
-    """Write a JSON benchmark payload following the results conventions."""
-    path = results_path(name, "json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 _POWER: Dict[str, object] = {}
 _EDP: Dict[str, object] = {}

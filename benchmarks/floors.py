@@ -134,8 +134,6 @@ class _ReferenceMode:
         self._kernels.__enter__()
         self._use_plan = _GnnEncoder.use_edge_plan
         _GnnEncoder.use_edge_plan = False
-        self._use_programs = PnPTuner.use_inference_programs
-        PnPTuner.use_inference_programs = False
         self._loader_init = GraphDataLoader.__init__
 
         def per_epoch_collate_init(loader, samples, **kwargs):
@@ -148,7 +146,6 @@ class _ReferenceMode:
     def __exit__(self, *exc) -> None:
         GraphDataLoader.__init__ = self._loader_init
         _GnnEncoder.use_edge_plan = self._use_plan
-        PnPTuner.use_inference_programs = self._use_programs
         self._kernels.__exit__(*exc)
 
 
@@ -156,7 +153,7 @@ def forward(samples, config) -> float:
     """One batched forward pass, with the batch's plan warm across rounds.
 
     That is the regime of every repeated-batch consumer: the 4-layer stack
-    within one pass, memoised evaluation loaders, repeated label batches.
+    within one pass, repeated label batches.
     """
     batch = collate_graphs([s.sample for s in samples[:64]])
     model = PnPModel(config)
@@ -191,7 +188,12 @@ def train_epoch(samples, config) -> float:
 
 
 def cap_sweep(tuner, caps) -> float:
-    """Per-region power-cap sweep: ``predict_sweep`` vs one forward per cap."""
+    """Per-region power-cap sweep: ``predict_sweep`` vs one forward per cap.
+
+    The reference is the seed's per-candidate path: build the region's
+    inference sample at the cap, collate it and run one full ``Module``
+    forward, with the embedding cache cleared for each (region, cap).
+    """
     regions = tuner.builder.regions()[:8]
 
     def engine() -> None:
@@ -199,22 +201,24 @@ def cap_sweep(tuner, caps) -> float:
         for region in regions:
             tuner.predict_sweep(region, caps)
 
+    def reference_label(region, cap) -> int:
+        tuner._embedding_cache.clear()  # the seed re-encoded per cap
+        sample = tuner.builder.inference_sample(region, power_cap=cap)
+        return int(tuner.model.predict(collate_graphs([sample.sample]))[0])
+
     def reference() -> None:
         with _ReferenceMode():
             for region in regions:
                 for cap in caps:
-                    tuner._embedding_cache.clear()  # the seed re-encoded per cap
-                    tuner.predict(region, power_cap=cap)
+                    reference_label(region, cap)
 
     engine_labels = [
         [result.label for result in tuner.predict_sweep(region, caps)]
         for region in regions
     ]
-    tuner._embedding_cache.clear()
     with _ReferenceMode():
         reference_labels = [
-            [tuner.predict(region, power_cap=cap).label for cap in caps]
-            for region in regions
+            [reference_label(region, cap) for cap in caps] for region in regions
         ]
     if engine_labels != reference_labels:
         raise AssertionError("predict_sweep disagrees with the reference sweep")

@@ -108,18 +108,6 @@ def main() -> None:
     # timed pass below is charged dataset-construction work.
     tuner.predict_sweep_many(regions, caps)
 
-    # Module reference: the same serial sweep with program routing disabled
-    # (the pre-compiled-runtime serving path, kept as the baseline).
-    tuner._embedding_cache.clear()
-    routing = PnPTuner.use_inference_programs
-    PnPTuner.use_inference_programs = False
-    try:
-        start = time.perf_counter()
-        module_serial = [tuner.predict_sweep(region, caps) for region in regions]
-        module_s = time.perf_counter() - start
-    finally:
-        PnPTuner.use_inference_programs = routing
-
     tuner._embedding_cache.clear()
     start = time.perf_counter()
     serial = [tuner.predict_sweep(region, caps) for region in regions]
@@ -140,12 +128,10 @@ def main() -> None:
         fleet_results = local_fleet.sweep(regions, caps)
         fleet_s = time.perf_counter() - start
 
-    assert serial == module_serial, "compiled runtime must match the Module path"
     assert batched == serial, "batched sweep must match the serial path"
     assert fleet_results == serial, "fleet sweep must match the serial path"
 
-    print(f"  module  : {module_s * 1e3:7.1f} ms (Module/Tensor forward, no program)")
-    print(f"  serial  : {serial_s * 1e3:7.1f} ms ({module_s / serial_s:.2f}x, compiled program)")
+    print(f"  serial  : {serial_s * 1e3:7.1f} ms (compiled program)")
     print(f"  batched : {batched_s * 1e3:7.1f} ms ({serial_s / batched_s:.2f}x vs serial)")
     print(
         f"  fleet   : {fleet_s * 1e3:7.1f} ms ({serial_s / fleet_s:.2f}x vs serial, "
@@ -154,7 +140,7 @@ def main() -> None:
 
     best = serial[0][0]
     print(
-        f"\nAll paths (incl. the Module reference) agree; e.g. {best.region_id} @ "
+        f"\nAll paths agree; e.g. {best.region_id} @ "
         f"{best.power_cap:.0f}W -> {best.config.label()}"
     )
 

@@ -19,6 +19,6 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    install_requires=["numpy>=1.24"],
     extras_require={"test": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"]},
 )

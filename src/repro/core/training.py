@@ -6,12 +6,16 @@ remaining applications form the training set, which tests generalisation to
 entirely unseen code.  A grouped k-fold variant is provided for the fast
 experiment profile (several applications per fold), trading a little fidelity
 for a large reduction in training time.
+
+:func:`train_model` reshuffles the samples every epoch, and
+:func:`predict_labels` scores the validation samples through the compiled
+inference program that serving runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,10 +52,6 @@ class TrainingConfig:
     optimizer: str = "adamw"       # "adamw" (amsgrad) for scenario 1, "adam" for EDP
     weight_decay: float = 1e-4
     amsgrad: bool = True
-    #: When True and the samples carry near-optimal target distributions,
-    #: train against them (soft cross-entropy); the hard argmin label is
-    #: still used for the reported accuracy.
-    use_soft_targets: bool = True
     seed: int = 0
     log_every: int = 0             # 0 disables epoch logging
     #: Train at this precision ("float32"/"float64"); ``None`` keeps the
@@ -59,10 +59,6 @@ class TrainingConfig:
     #: the first step (gradients, optimizer state and updates then all run
     #: at that precision).
     dtype: Optional[str] = None
-    #: "samples" (True) reshuffles sample order per epoch; "batches" permutes
-    #: fixed batch compositions so memoised EdgePlans are reused across
-    #: epochs (see :class:`repro.nn.data.GraphDataLoader`).
-    shuffle: Union[bool, str] = True
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
@@ -73,8 +69,6 @@ class TrainingConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.dtype is not None:
             object.__setattr__(self, "dtype", precision.resolve_dtype(self.dtype).name)
-        if not isinstance(self.shuffle, bool) and self.shuffle != "batches":
-            raise ValueError(f"shuffle must be True, False or 'batches', got {self.shuffle!r}")
 
 
 @dataclass
@@ -132,7 +126,7 @@ def train_model(
     loader = GraphDataLoader(
         graph_samples,
         batch_size=config.batch_size,
-        shuffle=config.shuffle,
+        shuffle=True,
         rng=new_rng(config.seed, "training/shuffle"),
     )
     loss_fn = CrossEntropyLoss()
@@ -149,7 +143,10 @@ def train_model(
         for batch in loader:
             optimizer.zero_grad()
             logits = model(batch)
-            if config.use_soft_targets and batch.target_distributions is not None:
+            # Samples that carry near-optimal target distributions train
+            # against them (soft cross-entropy); accuracy still scores the
+            # hard argmin label.
+            if batch.target_distributions is not None:
                 loss = F.soft_cross_entropy(logits, batch.target_distributions)
             else:
                 loss = loss_fn(logits, batch.labels)
@@ -181,31 +178,14 @@ def predict_labels(
 ) -> np.ndarray:
     """Predicted class index for every sample (in input order).
 
+    Runs the compiled :class:`~repro.nn.inference.InferenceProgram` of
+    ``model`` (``model.compile_inference()``), the runtime serving uses;
+    at float64 its labels are bit-identical to the ``Module`` forward's.
     Inference is split into the two model stages: each *unique* graph
     (deduplicated by region id) is encoded once by the GNN, then every sample
     — one per (graph, auxiliary-feature) candidate — goes through the dense
     head only.  The performance scenario has one sample per (region, power
     cap), so this avoids re-encoding each region's graph once per cap.
-    Serving callers route through the :class:`repro.serve.predictor.Predictor`
-    protocol (or :meth:`PnPTuner.predict_samples`, which runs the compiled
-    inference program).
-    """
-    return _predict_labels(model, samples, batch_size=batch_size)
-
-
-def _predict_labels(
-    model: PnPModel,
-    samples: Sequence[LabeledSample],
-    batch_size: int = 32,
-    program=None,
-) -> np.ndarray:
-    """:func:`predict_labels` with an optional compiled program.
-
-    ``program`` optionally supplies a compiled
-    :class:`~repro.nn.inference.InferenceProgram` for ``model`` (see
-    ``PnPModel.compile_inference``); both stages then run through the
-    autograd-free raw-ndarray runtime — bit-identical to the ``Module``
-    path at float64.
     """
     samples = list(samples)
     if not samples:
@@ -241,21 +221,19 @@ def _predict_labels(
                 )
         sample_rows[position] = row
 
-    encode = program.encode_pooled if program is not None else model.encode_pooled
+    program = model.compile_inference()
     pooled_rows: List[np.ndarray] = []
     for start in range(0, len(unique_samples), batch_size):
         chunk = unique_samples[start : start + batch_size]
         batch = collate_graphs([s.sample for s in chunk])
-        pooled_rows.append(encode(batch))
+        pooled_rows.append(program.encode_pooled(batch))
     pooled = np.concatenate(pooled_rows, axis=0)[sample_rows]
 
     has_aux = samples[0].sample.aux_features is not None
     if any((s.sample.aux_features is not None) != has_aux for s in samples):
         raise ValueError("all samples must consistently have or lack aux_features")
     aux = np.stack([s.sample.aux_features for s in samples]) if has_aux else None
-    if program is not None:
-        return program.predict_from_pooled(pooled, aux)
-    return model.predict_from_pooled(pooled, aux)
+    return program.predict_from_pooled(pooled, aux)
 
 
 # --------------------------------------------------------------------- folds

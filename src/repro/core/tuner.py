@@ -49,7 +49,7 @@ from repro.core.dataset import DatasetBuilder, LabeledSample, TuningScenario
 from repro.core.measurements import MeasurementDatabase, get_measurement_database
 from repro.core.model import ModelConfig, PnPModel
 from repro.core.search_space import SearchSpace
-from repro.core.training import TrainingConfig, _predict_labels, train_model
+from repro.core.training import TrainingConfig, train_model
 from repro.nn import precision
 from repro.nn.data import collate_graphs
 from repro.nn.inference import InferenceProgram
@@ -107,13 +107,6 @@ class PnPTuner:
 
     #: Capacity of the per-tuner pooled-embedding LRU cache (regions×dtypes).
     EMBEDDING_CACHE_SIZE = 512
-
-    #: Route every inference entry point through compiled
-    #: :class:`~repro.nn.inference.InferenceProgram`\ s (autograd-free
-    #: raw-ndarray kernels, bit-identical to the ``Module`` path at float64).  Disable
-    #: to fall back to the ``Module`` forward — retained as the reference
-    #: the benchmarks compare against.
-    use_inference_programs = True
 
     def __init__(
         self,
@@ -238,21 +231,14 @@ class PnPTuner:
             self._cast_models[resolved.name] = cast
         return cast
 
-    def _program_for(
-        self, model: Optional[PnPModel] = None, force: bool = False
-    ) -> Optional[InferenceProgram]:
-        """The cached compiled program serving ``model`` (or ``None``).
+    def _program_for(self, model: PnPModel) -> InferenceProgram:
+        """The cached compiled program serving ``model``.
 
         Programs are compiled lazily per serving dtype and cached until the
         weights change (``fit`` / :meth:`load_state_dict` clear the cache; a
         direct ``load_state_dict``/``astype`` on the model is caught by
-        :meth:`InferenceProgram.stale`).  Returns ``None`` when program
-        routing is disabled (``use_inference_programs``) and ``force`` is
-        not set.
+        :meth:`InferenceProgram.stale`).
         """
-        if not (self.use_inference_programs or force):
-            return None
-        model = model if model is not None else self.model
         key = model.dtype.name
         program = self._programs.get(key)
         if program is None or program.stale():
@@ -270,25 +256,7 @@ class PnPTuner:
         so the first query pays no lowering cost.
         """
         self._require_fitted()
-        program = self._program_for(self._model_at(dtype), force=True)
-        assert program is not None  # force=True always compiles
-        return program
-
-    def _encode_pooled(self, model: PnPModel, batch) -> np.ndarray:
-        """One encoder pass — compiled program when enabled, Module otherwise."""
-        program = self._program_for(model)
-        if program is not None:
-            return program.encode_pooled(batch)
-        return model.encode_pooled(batch)
-
-    def _head_labels(
-        self, model: PnPModel, pooled: np.ndarray, aux: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Dense-head label prediction — program-routed like the encoder."""
-        program = self._program_for(model)
-        if program is not None:
-            return program.predict_from_pooled(pooled, aux)
-        return model.predict_from_pooled(pooled, aux)
+        return self._program_for(self._model_at(dtype))
 
     def _embedding_key(
         self, region: RegionCharacteristics, model: PnPModel
@@ -313,6 +281,7 @@ class PnPTuner:
             if power_cap is None:
                 raise ValueError("power_cap is required for the performance scenario")
             return self.predict_sweep(region, [power_cap])[0]
+        program = self._program_for(self.model)
         key = self._embedding_key(region, self.model)
         pooled = self._embedding_cache.get(key)
         if pooled is not None and not self.include_counters:
@@ -333,11 +302,11 @@ class PnPTuner:
             )
             if pooled is None:
                 batch = collate_graphs([sample.sample])
-                pooled = self._encode_pooled(self.model, batch)
+                pooled = program.encode_pooled(batch)
                 self._embedding_cache.put(key, pooled)
             aux = sample.sample.aux_features
         aux = aux[None, :] if aux is not None else None
-        label = int(self._head_labels(self.model, pooled, aux)[0])
+        label = int(program.predict_from_pooled(pooled, aux)[0])
         return self._result_from_label(region.region_id, label, power_cap)
 
     def predict_sweep(
@@ -404,6 +373,7 @@ class PnPTuner:
         if not caps:
             return [[] for _ in regions]
         model = self._model_at(dtype)
+        program = self._program_for(model)
         keys = [self._embedding_key(region, model) for region in regions]
 
         # Collect the cache-miss regions (first occurrence of each key only).
@@ -433,7 +403,7 @@ class PnPTuner:
                     for region in miss_regions
                 ]
             )
-            pooled = self._encode_pooled(model, batch)
+            pooled = program.encode_pooled(batch)
             for row_index, key in enumerate(miss_keys):
                 # Copy so a cached row doesn't pin the whole batch array.
                 row = pooled[row_index : row_index + 1].copy()
@@ -460,7 +430,7 @@ class PnPTuner:
                     for region in regions
                 ]
             )
-        labels = self._head_labels(model, rows, aux)
+        labels = program.predict_from_pooled(rows, aux)
         results: List[List[TuningResult]] = []
         for region_index, region in enumerate(regions):
             offset = region_index * len(caps)
@@ -473,21 +443,6 @@ class PnPTuner:
                 ]
             )
         return results
-
-    def predict_samples(self, samples: Sequence[LabeledSample]) -> List[TuningResult]:
-        """Batch prediction for pre-built samples (used by the experiments).
-
-        Shares the compiled inference runtime with the serving entry points,
-        so experiment sweeps pay no autograd overhead either.
-        """
-        self._require_fitted()
-        labels = _predict_labels(
-            self.model, list(samples), program=self._program_for(self.model)
-        )
-        return [
-            self._result_from_label(s.region_id, int(label), s.power_cap)
-            for s, label in zip(samples, labels)
-        ]
 
     def _result_from_label(
         self, region_id: str, label: int, power_cap: Optional[float]

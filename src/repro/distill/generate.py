@@ -135,8 +135,7 @@ def teacher_embeddings(
     depend only on the region's generated graph, not the auxiliary features.
     """
     regions = list(regions)
-    tuner._require_fitted()
-    model = tuner._model_at(dtype)
+    program = tuner.compile_inference(dtype)
     cap = float(min(tuner.search_space.power_caps))
     rows: List[np.ndarray] = []
     for start in range(0, len(regions), batch_size):
@@ -145,7 +144,7 @@ def teacher_embeddings(
             tuner.builder.inference_sample(region, power_cap=cap).sample
             for region in chunk
         ]
-        rows.append(tuner._encode_pooled(model, collate_graphs(samples)))
+        rows.append(program.encode_pooled(collate_graphs(samples)))
     if not rows:
         return np.empty((0, tuner.model_config.hidden_dim))
     return np.concatenate(rows, axis=0)

@@ -13,7 +13,7 @@ every experiment runner accepts a profile:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.core.model import ModelConfig
 from repro.core.training import GroupedApplicationKFold, LeaveOneApplicationOut, TrainingConfig
@@ -30,7 +30,8 @@ class ExperimentProfile:
     name:
         Profile identifier ("full", "fast", "smoke", ...).
     epochs, batch_size, learning_rate:
-        Training-loop parameters (Table II defaults for ``full``).
+        Training-loop parameters (Table II defaults for ``full``); training
+        reshuffles the samples every epoch.
     embedding_dim, hidden_dim, dense_hidden_dim:
         Model capacity.
     loocv:
@@ -45,14 +46,6 @@ class ExperimentProfile:
         Execution budgets granted to the baseline tuners.
     include_dynamic_variant:
         Whether to also train/evaluate the static+counters ("dynamic") model.
-    shuffle:
-        Training shuffle mode: ``True`` reshuffles samples every epoch (the
-        paper's SGD mixing), ``"batches"`` permutes fixed batch compositions
-        so memoised EdgePlans are reused across every epoch (see
-        :class:`repro.nn.data.GraphDataLoader`).  The accuracy study backing
-        the knob (``make shuffle-study``, 68-region suite) measured the
-        batches-vs-samples accuracy delta as negligible; the README records
-        the numbers.
     seed:
         Master seed for the whole experiment.
     """
@@ -74,7 +67,6 @@ class ExperimentProfile:
     opentuner_budget: int = 30
     include_dynamic_variant: bool = True
     include_baselines: bool = True
-    shuffle: Union[bool, str] = True
     seed: int = 0
 
     # ------------------------------------------------------------- factories
@@ -90,7 +82,6 @@ class ExperimentProfile:
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
             optimizer=optimizer,
-            shuffle=self.shuffle,
             seed=self.seed,
         )
 

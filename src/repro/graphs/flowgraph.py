@@ -2,9 +2,7 @@
 
 Follows the PROGRAML representation: one node per instruction, separate nodes
 for variables and constants, and typed edges for control flow, data flow and
-call flow.  The graph is a plain Python object with NumPy export helpers and
-an optional conversion to :class:`networkx.MultiDiGraph` for analysis and
-visualisation.
+call flow.  The graph is a plain Python object with NumPy export helpers.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
-import networkx as nx
 
 __all__ = ["NodeKind", "EdgeRelation", "GraphNode", "GraphEdge", "FlowGraph"]
 
@@ -146,19 +143,6 @@ class FlowGraph:
     def node_kinds(self) -> np.ndarray:
         """Kind (as int) of every node, in index order."""
         return np.array([int(n.kind) for n in self._nodes], dtype=np.int64)
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Convert to a :class:`networkx.MultiDiGraph` (attributes preserved)."""
-        graph = nx.MultiDiGraph(name=self.name)
-        for node in self._nodes:
-            graph.add_node(
-                node.index, kind=node.kind.name, token=node.token, function=node.function
-            )
-        for edge in self._edges:
-            graph.add_edge(
-                edge.source, edge.target, relation=edge.relation.name, position=edge.position
-            )
-        return graph
 
     # ------------------------------------------------------------ statistics
     def summary(self) -> Dict[str, int]:

@@ -28,10 +28,11 @@ are bit-identical to the naive per-layer/per-epoch implementations they
 replace, which are retained as references (``RGCNConv.forward`` without a
 plan; ``GraphDataLoader(cache_collate=False)``).
 
-Serving additionally has an autograd-free compiled runtime:
-:mod:`repro.nn.inference` lowers a model into an :class:`InferenceProgram`
-— a flat list of raw-ndarray kernel steps with buffers preallocated per
-``(EdgePlan, dtype)``, no ``Tensor`` wrappers and no graph recording.
+Inference — serving and the experiments' label predictions alike — runs an
+autograd-free compiled runtime: :mod:`repro.nn.inference` lowers a model
+into an :class:`InferenceProgram` — a flat list of raw-ndarray kernel steps
+with buffers preallocated per ``(EdgePlan, dtype)``, no ``Tensor`` wrappers
+and no graph recording.  The ``Module`` forward stays as its reference.
 
 Message passing sums each relation's messages into their destination nodes
 with one of two scatter kernels, chosen by who owns the output buffer

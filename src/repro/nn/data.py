@@ -21,15 +21,13 @@ Two batch-level precomputations back the compiled message-passing engine:
   whole dataset into flat arrays a single time and materialises each
   minibatch by re-indexing those arrays (shuffling permutes sample indices
   only).  The emitted batches are bit-identical to calling
-  :func:`collate_graphs` per epoch, and repeated batch compositions (e.g.
-  unshuffled evaluation loaders) are memoised so their edge plans are reused
-  across epochs.
+  :func:`collate_graphs` per epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +38,6 @@ from repro.nn._scatter import (
     count_index,
     flat_scatter_index,
 )
-from repro.utils.caching import LRUCache
 
 __all__ = [
     "GraphSample",
@@ -139,11 +136,11 @@ class EdgePlan:
     scatter accumulation is bit-identical to the naive masked path) and the
     per-edge normalisation column ``1 / |N_r(dst)|``.  The per-graph node
     counts feed the pooling read-out.  One plan is shared by every RGCN layer
-    of a forward pass and, for memoised batches, across epochs.
+    of a forward pass.
 
     ``dtype`` is the precision of the normalisation columns; plans are cached
     per (arity, dtype) on their batch, so a float32 model and a float64 model
-    can share the same memoised batches without promoting each other.
+    can share one batch without promoting each other.
     """
 
     num_nodes: int
@@ -461,16 +458,6 @@ class GraphDataLoader:
     every minibatch by re-indexing them; shuffling only permutes sample
     indices, and the pre-existing shuffle RNG stream is consumed exactly as
     before, so training trajectories are bit-identical to per-epoch collation.
-    For ``shuffle=False`` loaders (whose compositions repeat every epoch)
-    batches are additionally memoised so their cached :class:`EdgePlan` is
-    reused across epochs.
-
-    ``shuffle="batches"`` shuffles *batches, not samples*: the dataset is
-    partitioned into fixed contiguous batch compositions once, and each epoch
-    permutes the order in which those batches are visited.  Every composition
-    repeats every epoch, so all batches (and their cached edge plans) are
-    memoised and reused across the whole training run — full cross-epoch plan
-    reuse at the cost of never re-mixing which samples share a batch.
 
     Parameters
     ----------
@@ -480,39 +467,33 @@ class GraphDataLoader:
         Number of graphs per batch (Table II: 16).
     shuffle:
         ``True`` reshuffles sample order every epoch; ``False`` keeps dataset
-        order; ``"batches"`` permutes fixed batch compositions every epoch.
+        order.
     rng:
         Generator used for shuffling (keeps epochs reproducible).
     cache_collate:
-        Enable collate-once re-indexing and composition memoisation.  With
-        ``False`` the loader collates from the Python sample list every epoch
-        (the seed behaviour, retained as a benchmark/equivalence reference).
+        Enable collate-once re-indexing.  With ``False`` the loader collates
+        from the Python sample list every epoch (the seed behaviour, retained
+        as a benchmark/equivalence reference).
     """
-
-    #: Bound on memoised batch compositions (LRU-evicted beyond this).
-    MEMO_CAPACITY = 256
 
     def __init__(
         self,
         samples: Sequence[GraphSample],
         batch_size: int = 16,
-        shuffle: Union[bool, str] = True,
+        shuffle: bool = True,
         rng: Optional[np.random.Generator] = None,
         cache_collate: bool = True,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if not isinstance(shuffle, bool) and shuffle != "batches":
-            raise ValueError(
-                f"shuffle must be True, False or 'batches', got {shuffle!r}"
-            )
+        if not isinstance(shuffle, bool):
+            raise ValueError(f"shuffle must be True or False, got {shuffle!r}")
         self.samples = list(samples)
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.cache_collate = cache_collate
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._collated: Optional[_CollatedDataset] = None
-        self._batch_memo: LRUCache = LRUCache(self.MEMO_CAPACITY)
 
     def __len__(self) -> int:
         return (len(self.samples) + self.batch_size - 1) // self.batch_size
@@ -522,32 +503,10 @@ class GraphDataLoader:
             return collate_graphs([self.samples[i] for i in chunk])
         if self._collated is None:
             self._collated = _CollatedDataset(self.samples)
-        if self.shuffle is True or len(self) > self.MEMO_CAPACITY:
-            # Sample-shuffled compositions essentially never repeat, and a
-            # cyclic scan over more batches than the LRU holds evicts every
-            # entry just before reuse — memoising would pin batches (and
-            # their EdgePlans) with ~0% hit rate.  shuffle=False and
-            # shuffle="batches" compositions repeat every epoch and are
-            # memoised.
-            return self._collated.gather(chunk)
-        key = tuple(int(i) for i in chunk)
-        batch = self._batch_memo.get(key)
-        if batch is None:
-            batch = self._collated.gather(chunk)
-            self._batch_memo.put(key, batch)
-        return batch
+        return self._collated.gather(chunk)
 
     def __iter__(self) -> Iterator[GraphBatch]:
         order = np.arange(len(self.samples))
-        if self.shuffle == "batches":
-            # Fixed contiguous compositions, visited in a fresh random order
-            # each epoch; one rng draw per epoch mirrors shuffle=True.
-            batch_order = np.arange(len(self))
-            self._rng.shuffle(batch_order)
-            for index in batch_order:
-                start = int(index) * self.batch_size
-                yield self._materialize(order[start : start + self.batch_size])
-            return
         if self.shuffle:
             self._rng.shuffle(order)
         for start in range(0, len(order), self.batch_size):

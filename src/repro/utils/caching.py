@@ -18,8 +18,9 @@ class LRUCache:
     """A small least-recently-used mapping with a fixed capacity.
 
     Used for bounded memoisation where entries can be large (pooled graph
-    embeddings in :class:`repro.core.tuner.PnPTuner`, materialised batches in
-    :class:`repro.nn.data.GraphDataLoader`) and the key space is open-ended.
+    embeddings in :class:`repro.core.tuner.PnPTuner`, never-seen region state
+    in :class:`repro.core.dataset.DatasetBuilder`) and the key space is
+    open-ended.
     """
 
     def __init__(self, maxsize: int = 128) -> None:

@@ -17,6 +17,7 @@ from repro.core.training import TrainingConfig, predict_labels, train_model
 from repro.core.tuner import PnPTuner
 from repro.nn import _scatter
 from repro.nn.data import GraphDataLoader, collate_graphs
+from repro.nn.inference import InferenceProgram
 
 
 @pytest.fixture(scope="module")
@@ -81,28 +82,29 @@ class TestPredictSweep:
     def test_matches_per_candidate_reference_predictions(
         self, fitted_time_tuner, small_regions_by_app
     ):
-        region = small_regions_by_app["gemm"][0]
-        caps = [40.0, 50.0, 60.0, 70.0, 85.0]
-        swept = fitted_time_tuner.predict_sweep(region, caps)
-        assert [r.power_cap for r in swept] == caps
-        # Reference: naive kernels, no plans, no compiled programs, fresh
-        # encoding per candidate.
-        fitted_time_tuner._embedding_cache.clear()
-        try:
-            _GnnEncoder.use_edge_plan = False
-            PnPTuner.use_inference_programs = False
-            with _scatter.reference_kernels():
-                reference_labels = []
-                for cap in caps:
-                    fitted_time_tuner._embedding_cache.clear()
-                    reference_labels.append(
-                        fitted_time_tuner.predict(region, power_cap=cap).label
-                    )
-        finally:
-            _GnnEncoder.use_edge_plan = True
-            PnPTuner.use_inference_programs = True
-            fitted_time_tuner._embedding_cache.clear()
-        assert [r.label for r in swept] == reference_labels
+        tuner = fitted_time_tuner
+        for app, caps in (
+            ("gemm", [40.0, 50.0, 60.0, 70.0, 85.0]),
+            ("trisolv", [40.0, 55.0, 70.0, 85.0]),
+        ):
+            region = small_regions_by_app[app][0]
+            tuner._embedding_cache.clear()
+            swept = tuner.predict_sweep(region, caps)
+            assert [r.power_cap for r in swept] == caps
+            # Reference: one full Module forward per candidate, with naive
+            # kernels and no edge plan.
+            batches = [
+                collate_graphs([tuner.builder.inference_sample(region, power_cap=cap).sample])
+                for cap in caps
+            ]
+            try:
+                _GnnEncoder.use_edge_plan = False
+                with _scatter.reference_kernels():
+                    reference_labels = [int(tuner.model.predict(b)[0]) for b in batches]
+            finally:
+                _GnnEncoder.use_edge_plan = True
+            assert [r.label for r in swept] == reference_labels
+        tuner._embedding_cache.clear()
 
     def test_runs_encoder_once_per_region(self, fitted_time_tuner, small_regions_by_app):
         region = small_regions_by_app["atax"][0]
@@ -226,22 +228,6 @@ class TestInferenceProgramRouting:
         assert [r.label for r in again] == [r.label for r in swept]
         fitted_time_tuner._embedding_cache.clear()
 
-    def test_program_routing_matches_module_routing(
-        self, fitted_time_tuner, small_regions_by_app
-    ):
-        region = small_regions_by_app["trisolv"][0]
-        caps = [40.0, 55.0, 70.0, 85.0]
-        fitted_time_tuner._embedding_cache.clear()
-        routed = fitted_time_tuner.predict_sweep(region, caps)
-        try:
-            PnPTuner.use_inference_programs = False
-            fitted_time_tuner._embedding_cache.clear()
-            module = fitted_time_tuner.predict_sweep(region, caps)
-        finally:
-            PnPTuner.use_inference_programs = True
-            fitted_time_tuner._embedding_cache.clear()
-        assert routed == module
-
     def test_float32_sweep_compiles_float32_program(
         self, fitted_time_tuner, small_regions_by_app
     ):
@@ -348,19 +334,23 @@ class TestInferenceProgramRouting:
         assert calls == [1]
         assert warm == cold
 
-    def test_predict_samples_routes_through_program(self, fitted_time_tuner, perf_samples):
-        program = fitted_time_tuner.compile_inference()
+    def test_experiment_labels_run_the_program(
+        self, fitted_time_tuner, perf_samples, monkeypatch
+    ):
         calls = []
-        original = program.encode_pooled
-        program.encode_pooled = lambda batch: (calls.append(1), original(batch))[1]
-        try:
-            results = fitted_time_tuner.predict_samples(perf_samples[:8])
-        finally:
-            program.encode_pooled = original
-        assert calls  # the experiments path runs the compiled runtime
-        assert [r.label for r in results] == [
-            int(lab) for lab in predict_labels(fitted_time_tuner.model, perf_samples[:8])
-        ]
+        original = InferenceProgram.encode_pooled
+
+        def counting(program, batch):
+            calls.append(batch.num_graphs)
+            return original(program, batch)
+
+        monkeypatch.setattr(InferenceProgram, "encode_pooled", counting)
+        labels = predict_labels(fitted_time_tuner.model, perf_samples[:8])
+        # The experiments' path runs the compiled runtime, encoding each of
+        # the samples' distinct graphs once.
+        distinct = len({s.region_id for s in perf_samples[:8]})
+        assert sum(calls) == distinct
+        assert len(labels) == 8
 
 
 class TestGroupedPredictLabels:
@@ -455,15 +445,6 @@ class TestPrecisionKnobs:
         assert model.dtype == np.float64
         train_model(model, samples, TrainingConfig(epochs=1, seed=0, dtype="float32"))
         assert model.dtype == np.float32
-
-    def test_training_config_batches_shuffle_mode(self, small_builder, small_database):
-        samples = small_builder.performance_samples()[:24]
-        model = PnPModel(self._config(small_builder, small_database))
-        history = train_model(
-            model, samples, TrainingConfig(epochs=2, seed=0, shuffle="batches")
-        )
-        assert len(history.losses) == 2
-        assert all(np.isfinite(history.losses))
 
     def test_predict_sweep_dtype_override(self, fitted_time_tuner, small_regions_by_app):
         region = small_regions_by_app["gemm"][0]

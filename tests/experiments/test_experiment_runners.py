@@ -39,13 +39,6 @@ class TestProfiles:
         training = profile.training_config("adam")
         assert training.optimizer == "adam"
         assert training.epochs == profile.epochs
-        assert training.shuffle is True  # profiles default to sample mixing
-
-    def test_shuffle_knob_threads_into_training_config(self):
-        profile = smoke_profile().with_overrides(shuffle="batches")
-        assert profile.training_config().shuffle == "batches"
-        with pytest.raises(ValueError):
-            profile.with_overrides(shuffle="nonsense").training_config()
 
 
 class TestReporting:

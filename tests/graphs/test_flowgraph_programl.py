@@ -44,16 +44,6 @@ class TestFlowGraph:
         np.testing.assert_array_equal(edge_type, [int(EdgeRelation.DATA)])
         np.testing.assert_array_equal(g.node_kinds(), [0, 2])
 
-    def test_to_networkx(self):
-        g = FlowGraph("x")
-        a = g.add_node(NodeKind.INSTRUCTION, "a")
-        b = g.add_node(NodeKind.VARIABLE, "double")
-        g.add_edge(a, b, EdgeRelation.DATA)
-        nx_graph = g.to_networkx()
-        assert nx_graph.number_of_nodes() == 2
-        assert nx_graph.number_of_edges() == 1
-        assert nx_graph.nodes[0]["kind"] == "INSTRUCTION"
-
     def test_summary_counts(self):
         g = FlowGraph()
         a = g.add_node(NodeKind.INSTRUCTION, "a")

@@ -1,4 +1,4 @@
-"""Tests for collate-once batching and the loader's composition memoisation."""
+"""Tests for collate-once batching in the graph data loader."""
 
 import numpy as np
 import pytest
@@ -61,23 +61,6 @@ class TestCollateOnce:
             for fast, slow in zip(cached, reference):
                 _assert_batches_identical(fast, slow)
 
-    def test_unshuffled_loader_memoises_batches(self):
-        samples = _make_samples(10, np.random.default_rng(2))
-        loader = GraphDataLoader(samples, batch_size=4, shuffle=False)
-        first_epoch = list(loader)
-        second_epoch = list(loader)
-        for a, b in zip(first_epoch, second_epoch):
-            assert a is b  # memoised composition => cached EdgePlan is reused
-
-    def test_shuffled_loader_does_not_memoise(self):
-        # Shuffled compositions essentially never repeat; memoising them
-        # would pin batches (and their EdgePlans) for nothing.
-        samples = _make_samples(12, np.random.default_rng(5))
-        loader = GraphDataLoader(samples, batch_size=4, shuffle=True)
-        for _ in range(2):
-            list(loader)
-        assert len(loader._batch_memo) == 0
-
     def test_shuffle_rng_stream_preserved(self):
         # The loader must consume the shuffle RNG exactly like the seed
         # implementation: one rng.shuffle(arange(n)) per epoch.
@@ -106,59 +89,11 @@ class TestCollateOnce:
         with pytest.raises(ValueError):
             collate_graphs([])
 
-    def test_invalid_shuffle_value_rejected(self):
+    @pytest.mark.parametrize("shuffle", ["samples", "batches"])
+    def test_invalid_shuffle_value_rejected(self, shuffle):
         samples = _make_samples(4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="shuffle must be"):
-            GraphDataLoader(samples, batch_size=2, shuffle="samples")
-
-
-class TestShuffleBatchesMode:
-    """shuffle="batches": fixed compositions, permuted visit order, full
-    cross-epoch EdgePlan reuse through the composition memo."""
-
-    def test_compositions_fixed_and_order_permuted(self):
-        samples = _make_samples(20, np.random.default_rng(6))
-        loader = GraphDataLoader(
-            samples, batch_size=4, shuffle="batches", rng=np.random.default_rng(9)
-        )
-        epochs = [[tuple(b.region_ids) for b in loader] for _ in range(4)]
-        # Same composition set every epoch (only the visit order changes)...
-        expected = {
-            tuple(s.region_id for s in samples[start : start + 4])
-            for start in range(0, len(samples), 4)
-        }
-        for epoch in epochs:
-            assert set(epoch) == expected
-        # ...and the order is actually shuffled across epochs.
-        assert len({tuple(epoch) for epoch in epochs}) > 1
-
-    def test_plan_cache_hits_across_epochs(self):
-        samples = _make_samples(18, np.random.default_rng(7))
-        loader = GraphDataLoader(
-            samples, batch_size=6, shuffle="batches", rng=np.random.default_rng(3)
-        )
-        first = {batch.region_ids[0]: batch for batch in loader}
-        plans = {key: batch.edge_plan(3) for key, batch in first.items()}
-        assert loader._batch_memo.hits == 0  # first epoch only misses
-        for _ in range(2):
-            for batch in loader:
-                # Memoised batch objects are returned again, so the EdgePlan
-                # built in epoch 1 is reused verbatim.
-                assert batch is first[batch.region_ids[0]]
-                assert batch.edge_plan(3) is plans[batch.region_ids[0]]
-        assert loader._batch_memo.hits == 2 * len(first)
-
-    def test_batches_identical_to_unshuffled_compositions(self):
-        samples = _make_samples(10, np.random.default_rng(8))
-        batched = GraphDataLoader(
-            samples, batch_size=4, shuffle="batches", rng=np.random.default_rng(1)
-        )
-        plain = {
-            tuple(b.region_ids): b
-            for b in GraphDataLoader(samples, batch_size=4, shuffle=False)
-        }
-        for batch in batched:
-            _assert_batches_identical(batch, plain[tuple(batch.region_ids)])
+            GraphDataLoader(samples, batch_size=2, shuffle=shuffle)
 
 
 class TestLRUCache:
