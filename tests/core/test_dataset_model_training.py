@@ -1,5 +1,7 @@
 """Tests for dataset construction, the PnP model, training, and transfer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from repro.core.training import (
     train_model,
 )
 from repro.core.transfer import extract_gnn_weights, freeze_gnn_parameters, transfer_gnn_weights
+from repro.nn import functional as F
 from repro.nn.data import collate_graphs
+from repro.nn.losses import CrossEntropyLoss
 
 
 def tiny_model_config(builder, scenario=TuningScenario.PERFORMANCE, include_counters=False, num_classes=None):
@@ -144,6 +148,23 @@ class TestTraining:
         np.testing.assert_allclose(
             predict_labels(model_a, samples), predict_labels(model_b, samples)
         )
+
+    def test_soft_targets_drive_the_loss_when_present(self, small_builder):
+        samples = small_builder.performance_samples(power_caps=[40.0])
+        config = replace(tiny_model_config(small_builder), dropout=0.0)
+        history = train_model(
+            PnPModel(config),
+            samples,
+            TrainingConfig(epochs=1, batch_size=len(samples), seed=0),
+        )
+        # One batch per epoch: the recorded loss is the untrained model's.
+        batch = collate_graphs([s.sample for s in samples])
+        assert batch.target_distributions is not None
+        logits = PnPModel(config)(batch)
+        soft = F.soft_cross_entropy(logits, batch.target_distributions).item()
+        hard = CrossEntropyLoss()(logits, batch.labels).item()
+        assert history.losses[0] == pytest.approx(soft, rel=1e-9)
+        assert history.losses[0] != pytest.approx(hard, rel=1e-3)
 
     def test_empty_dataset_rejected(self, small_builder):
         model = PnPModel(tiny_model_config(small_builder))

@@ -9,12 +9,16 @@ Covers the engine's inference contract:
 * collate-once training reproduces the seed training history exactly.
 """
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.model import ModelConfig, PnPModel, _GnnEncoder
 from repro.core.training import TrainingConfig, predict_labels, train_model
 from repro.core.tuner import PnPTuner
+from repro.distill.generate import teacher_embeddings
 from repro.nn import _scatter
 from repro.nn.data import GraphDataLoader, collate_graphs
 from repro.nn.inference import InferenceProgram
@@ -352,6 +356,33 @@ class TestInferenceProgramRouting:
         assert sum(calls) == distinct
         assert len(labels) == 8
 
+    def test_teacher_embeddings_run_the_serving_program(
+        self, fitted_time_tuner, small_regions_by_app
+    ):
+        tuner = fitted_time_tuner
+        regions = small_regions_by_app["gemm"] + small_regions_by_app["atax"]
+        embeddings = teacher_embeddings(tuner, regions, batch_size=2)
+        # Distillation targets equal the Module encoder's at float64...
+        cap = float(min(tuner.search_space.power_caps))
+        batch = collate_graphs(
+            [tuner.builder.inference_sample(r, power_cap=cap).sample for r in regions]
+        )
+        assert (embeddings == tuner.model.encode_pooled(batch)).all()
+        # ...and come from the tuner's cached program at the requested dtype.
+        embeddings32 = teacher_embeddings(tuner, regions, dtype="float32")
+        assert embeddings32.dtype == np.float32
+        assert tuner._programs["float32"] is tuner.compile_inference("float32")
+
+    def test_teacher_embeddings_require_a_fitted_tuner(
+        self, small_database, small_builder, small_regions_by_app
+    ):
+        tuner = PnPTuner(
+            system="haswell", objective="time", database=small_database, seed=0
+        )
+        tuner.builder = small_builder
+        with pytest.raises(RuntimeError, match="before fit"):
+            teacher_embeddings(tuner, small_regions_by_app["gemm"])
+
 
 class TestGroupedPredictLabels:
     def test_matches_seed_chunked_prediction(self, fitted_time_tuner, perf_samples):
@@ -369,6 +400,48 @@ class TestGroupedPredictLabels:
 
     def test_empty_input(self, fitted_time_tuner):
         assert predict_labels(fitted_time_tuner.model, []).size == 0
+
+    def test_follows_the_models_current_weights(self, fitted_time_tuner, perf_samples):
+        # Every call compiles from the weights the model holds at that moment.
+        fitted = fitted_time_tuner.model
+        model = PnPModel(fitted_time_tuner.model_config)
+        untrained = predict_labels(model, perf_samples)
+        model.load_state_dict(fitted.state_dict())
+        reloaded = predict_labels(model, perf_samples)
+        assert (reloaded == predict_labels(fitted, perf_samples)).all()
+        assert (reloaded != untrained).any()
+
+    def test_float32_labels_match_reference_kernel_module(
+        self, fitted_time_tuner, perf_samples
+    ):
+        model = PnPModel(fitted_time_tuner.model_config)
+        model.load_state_dict(fitted_time_tuner.model.state_dict())
+        model.astype("float32")
+        labels = predict_labels(model, perf_samples)
+        with _scatter.reference_kernels():
+            reference = np.concatenate(
+                [
+                    model.predict(collate_graphs([s.sample for s in perf_samples[i : i + 32]]))
+                    for i in range(0, len(perf_samples), 32)
+                ]
+            )
+        assert (labels == reference).all()
+
+    def test_region_id_shared_by_different_graphs_rejected(self, fitted_time_tuner, perf_samples):
+        first = perf_samples[0]
+        other = next(s for s in perf_samples if s.region_id != first.region_id)
+        impostor = copy.copy(other.sample)
+        impostor.region_id = first.sample.region_id
+        mixed = [first, replace(other, sample=impostor, region_id=first.region_id)]
+        with pytest.raises(ValueError, match="wrap different graphs"):
+            predict_labels(fitted_time_tuner.model, mixed)
+
+    def test_inconsistent_aux_rejected(self, fitted_time_tuner, perf_samples):
+        bare = copy.copy(perf_samples[1].sample)
+        bare.aux_features = None
+        mixed = [perf_samples[0], replace(perf_samples[1], sample=bare)]
+        with pytest.raises(ValueError, match="consistently"):
+            predict_labels(fitted_time_tuner.model, mixed)
 
 
 class TestCollateOnceTrainingDeterminism:

@@ -40,6 +40,14 @@ class TestProfiles:
         assert training.optimizer == "adam"
         assert training.epochs == profile.epochs
 
+    def test_training_config_threads_loop_parameters(self):
+        profile = smoke_profile().with_overrides(batch_size=8, learning_rate=0.01, seed=5)
+        training = profile.training_config()
+        assert training.optimizer == "adamw"
+        assert (training.batch_size, training.learning_rate, training.seed) == (8, 0.01, 5)
+        with pytest.raises(ValueError):
+            profile.with_overrides(batch_size=0).training_config()
+
 
 class TestReporting:
     def test_format_table_alignment(self):

@@ -44,6 +44,31 @@ class TestFlowGraph:
         np.testing.assert_array_equal(edge_type, [int(EdgeRelation.DATA)])
         np.testing.assert_array_equal(g.node_kinds(), [0, 2])
 
+    def test_in_and_out_edges_keep_parallel_edges(self):
+        # A multigraph: two operand slots can carry the same value.
+        g = FlowGraph()
+        add = g.add_node(NodeKind.INSTRUCTION, "fadd double")
+        x = g.add_node(NodeKind.VARIABLE, "double")
+        store = g.add_node(NodeKind.INSTRUCTION, "store double")
+        g.add_edge(x, add, EdgeRelation.DATA, position=0)
+        g.add_edge(x, add, EdgeRelation.DATA, position=1)
+        g.add_edge(add, store, EdgeRelation.CONTROL)
+        assert [e.position for e in g.in_edges(add)] == [0, 1]
+        assert [(e.target, e.position) for e in g.out_edges(x)] == [(add, 0), (add, 1)]
+        assert [e.target for e in g.out_edges(add)] == [store]
+        assert g.in_edges(x) == [] and g.out_edges(store) == []
+        assert [n.token for n in g.nodes_of_kind(NodeKind.INSTRUCTION)] == [
+            "fadd double",
+            "store double",
+        ]
+
+    def test_edgeless_graph_exports_empty_arrays(self):
+        g = FlowGraph()
+        g.add_node(NodeKind.INSTRUCTION, "ret void")
+        edge_index, edge_type = g.edge_arrays()
+        assert edge_index.shape == (2, 0) and edge_index.dtype == np.int64
+        assert edge_type.shape == (0,) and edge_type.dtype == np.int64
+
     def test_summary_counts(self):
         g = FlowGraph()
         a = g.add_node(NodeKind.INSTRUCTION, "a")

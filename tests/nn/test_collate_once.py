@@ -77,6 +77,38 @@ class TestCollateOnce:
             ]
             assert epochs[epoch] == expected
 
+    def test_unshuffled_loader_rebuilds_dataset_order_each_epoch(self):
+        samples = _make_samples(10, np.random.default_rng(2))
+        loader = GraphDataLoader(samples, batch_size=4, shuffle=False)
+        expected = [
+            tuple(s.region_id for s in samples[start : start + 4])
+            for start in range(0, len(samples), 4)
+        ]
+        first_epoch = list(loader)
+        second_epoch = list(loader)
+        assert [tuple(b.region_ids) for b in first_epoch] == expected
+        for a, b in zip(first_epoch, second_epoch):
+            # Each epoch gathers fresh batches (nothing pins a batch or its
+            # EdgePlans between epochs) with identical contents.
+            assert a is not b
+            _assert_batches_identical(a, b)
+
+    def test_shuffled_epoch_visits_every_sample_once(self):
+        samples = _make_samples(11, np.random.default_rng(5))
+        loader = GraphDataLoader(
+            samples, batch_size=4, shuffle=True, rng=np.random.default_rng(8)
+        )
+        assert len(loader) == 3
+        epochs = []
+        for _ in range(3):
+            batches = list(loader)
+            assert [b.num_graphs for b in batches] == [4, 4, 3]
+            visited = [rid for b in batches for rid in b.region_ids]
+            assert sorted(visited) == sorted(s.region_id for s in samples)
+            epochs.append(tuple(visited))
+        # Sample order is reshuffled across epochs.
+        assert len(set(epochs)) > 1
+
     def test_inconsistent_aux_rejected(self):
         rng = np.random.default_rng(4)
         samples = _make_samples(3, rng, with_aux=True)
