@@ -6,7 +6,7 @@ wheels (no ``wheel`` package available); pip falls back to the legacy
 ``setup.py develop`` path in that case.
 """
 
-from setuptools import find_packages, setup
+from setuptools import find_namespace_packages, setup
 
 setup(
     name="repro",
@@ -18,7 +18,7 @@ setup(
     ),
     python_requires=">=3.10",
     package_dir={"": "src"},
-    packages=find_packages(where="src"),
+    packages=find_namespace_packages(where="src", include=["repro", "repro.*"]),
     install_requires=["numpy>=1.24"],
     extras_require={"test": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"]},
 )

@@ -32,8 +32,9 @@ Above both sits the request-shaped front door:
   (:exc:`GatewayOverloaded`), end-to-end per-request deadlines
   (:exc:`DeadlineExceeded`, backed by :func:`repro.serve.rpc.request`'s
   per-call socket deadline and :exc:`~repro.serve.rpc.RpcTimeout`), hedged
-  retries with per-node circuit breakers, and a rate-limited in-process
-  fallback when the whole fleet is down.
+  retries over the nodes the fleet client reports serving (node health is
+  the client's alone), and a rate-limited in-process fallback when the
+  whole fleet is down.
 
 Every layer is byte-identical to the serial per-region
 ``PnPTuner.predict_sweep`` path (asserted by ``tests/serve``) through kills,

@@ -297,13 +297,12 @@ class FleetClient:
             member = self._add_member(tuple(address))
             if self._spec is not None:
                 try:
-                    reply = member.request(
+                    member.request(
                         self._register_payload(), timeout=self._connect_timeout
                     )
                 except (rpc.ConnectionClosed, OSError) as error:
                     self._mark_dead(member, f"registration failed: {error}")
                     raise
-                self._check_protocol(member.index, reply)
             _LOG.info("fleet node %d (%s:%d) joined", member.index, *member.address)
             return member.index
 
@@ -376,9 +375,8 @@ class FleetClient:
     def assignments(self, region_ids: Sequence[str]) -> List[int]:
         """The current region → member-index routing (pure ring math).
 
-        Deterministic given the serving membership; used by tests and the
-        churn benchmark to verify that topology changes move only ~1/N of
-        the regions.
+        Deterministic given the serving membership; the tests use it to
+        verify that topology changes move only ~1/N of the regions.
         """
         indices = self._serving_indices()
         if not indices:
@@ -500,17 +498,6 @@ class FleetClient:
             self._close_quietly(sock)
             self._note_probe_failure(member, f"ping failed: {error}")
             return
-        # Protocol-version handshake: the node advertises its frame protocol
-        # in every ping reply; a peer that does not is refused.
-        protocol = info.get("protocol") if isinstance(info, dict) else None
-        if protocol != rpc.PROTOCOL_VERSION:
-            self._close_quietly(sock)
-            self._note_probe_failure(
-                member,
-                f"peer speaks frame protocol v{protocol}, not "
-                f"v{rpc.PROTOCOL_VERSION}",
-            )
-            return
         try:
             self._readmit(member, sock, info)
         except rpc.RpcCorruption as error:
@@ -577,19 +564,6 @@ class FleetClient:
                 _LOG.exception("heartbeat pass failed")
 
     # --------------------------------------------------------- registration
-    def _check_protocol(self, index: int, reply: object) -> None:
-        """Refuse a peer that does not speak the frame protocol.
-
-        Nodes advertise ``"protocol"`` in ping/register/stats replies; a
-        missing field means a peer that predates the verified frames.
-        """
-        protocol = reply.get("protocol") if isinstance(reply, dict) else None
-        if protocol != rpc.PROTOCOL_VERSION:
-            raise RuntimeError(
-                f"fleet node {index} speaks frame protocol v{protocol}, not "
-                f"v{rpc.PROTOCOL_VERSION}"
-            )
-
     def _register_payload(self) -> Tuple:
         return (
             "register",
@@ -629,18 +603,11 @@ class FleetClient:
                 self._dtypes = tuple(dtypes)
                 self._version += 1
                 payload = self._register_payload()
-            indices = self._serving_indices()
-            replies = self._request_concurrently(
-                {index: payload for index in indices},
+            return self._request_concurrently(
+                {index: payload for index in self._serving_indices()},
                 rebalance=False,
                 timeout=self._connect_timeout,
             )
-            # Protocol-version handshake at registration: every node
-            # advertises its frame protocol in the register reply, and a
-            # peer that does not speak it is a configuration error.
-            for index, reply in zip(indices, replies):
-                self._check_protocol(index, reply)
-            return replies
 
     def update_weights(
         self,
@@ -828,14 +795,12 @@ class FleetClient:
             timeout=self._request_timeout,
         )
 
-    def stats(self) -> Dict[int, Dict[str, int]]:
-        """Per-serving-node statistics, keyed by member index.
+    def stats(self) -> Dict[int, Dict[str, object]]:
+        """Each serving node's own statistics, keyed by member index.
 
-        Each reply combines the node's own view (cache size/hits/misses,
-        weights version, ``corrupt_frames`` it tore down) with the client's
-        transport accounting for that member (``client_corruption`` /
-        ``client_teardowns`` / ``client_readmissions``) — so one call shows
-        both ends of every wire.
+        A node reports its cache size, hits and misses, weights version, the
+        ``corrupt_frames`` it tore down, its pid, inference buffers and tier
+        counters.  The client's end of each wire is :meth:`transport_stats`.
         """
         self._require_open()
         indices = self._serving_indices()
@@ -844,16 +809,9 @@ class FleetClient:
             rebalance=True,
             timeout=self._request_timeout,
         )
-        transport = self.transport_stats()["nodes"]
-        merged: Dict[int, Dict[str, int]] = {}
-        for index, reply in zip(indices, replies):
-            if reply is None:
-                continue
-            combined = dict(reply)
-            for key, value in transport.get(index, {}).items():
-                combined[f"client_{key}"] = value
-            merged[index] = combined
-        return merged
+        return {
+            index: reply for index, reply in zip(indices, replies) if reply is not None
+        }
 
     def transport_stats(self) -> Dict[str, object]:
         """Client-side transport accounting, per member and in total.
@@ -981,8 +939,8 @@ class LocalFleet:
     The one-machine harness for the full TCP wire path: spawn the node
     processes, collect their ephemeral endpoints, connect a
     :class:`FleetClient` and register ``tuner`` with every node.  Used by
-    ``tests/serve``, ``examples/fleet_serving.py`` and the ``serve_fleet`` /
-    ``serve_fleet_churn`` benchmark axes.
+    ``tests/serve``, ``examples/fleet_serving.py`` and the benchmark's
+    ``serve_warm`` and ``serve_novel`` workloads.
 
     Failure drills (all POSIX-signal based, for tests and chaos benches):
 
@@ -1116,7 +1074,7 @@ class LocalFleet:
     def clear_caches(self) -> None:
         self.client.clear_caches()
 
-    def stats(self) -> Dict[int, Dict[str, int]]:
+    def stats(self) -> Dict[int, Dict[str, object]]:
         return self.client.stats()
 
     def probe_now(self, force: bool = False) -> Dict[int, NodeState]:

@@ -22,15 +22,12 @@ against the ways a front door melts:
   requests fail fast with :exc:`DeadlineExceeded`, and the per-node RPC runs
   under the remaining budget via ``rpc.request(..., timeout=)`` — a hung
   node costs the deadline, never an unbounded hang.
-* **Hedged retries + per-node circuit breakers** — a batch stuck on a
-  slow node is hedged onto another serving node after a latency-percentile
-  delay; the first answer wins (every path is byte-identical, so duplicates
-  are harmless).  A node that fails consecutively trips its breaker and is
-  skipped by the router until the cooldown admits a half-open probe (the
-  fleet heartbeat re-admits the node itself underneath).
-* **Graceful degradation** — with *no* routable node (all DEAD or
-  breaker-open), the gateway answers from a rate-limited in-process
-  fallback predictor rebuilt from the registered spec + weights
+* **Hedged retries** — a batch stuck on a slow node is hedged onto another
+  serving node after a latency-percentile delay; the first answer wins
+  (every path is byte-identical, so duplicates are harmless).
+* **Graceful degradation** — with *no* serving node (all DEAD), the gateway
+  answers from a rate-limited in-process fallback predictor rebuilt from
+  the registered spec + weights
   (:meth:`~repro.serve.fleet.FleetClient.local_fallback_predictor` — the
   same :func:`~repro.serve.spec.build_predictor_from_update` path the
   nodes use, tiered micro/GNN when a distilled blob is registered, so the
@@ -39,7 +36,7 @@ against the ways a front door melts:
   a rolling update reaches the degraded path too.  Beyond the
   token-bucket rate the fallback sheds with :exc:`GatewayOverloaded`
   rather than sinking the process, and :meth:`Gateway.stats` reports the
-  degraded mode plus the fallback's tier counters.
+  degraded mode.
 
 Request lifecycle: **admit → coalesce → dispatch → hedge → degrade**::
 
@@ -51,7 +48,13 @@ The gateway talks to any client exposing ``serving_nodes()``,
 ``sweep_node(index, regions, caps, dtype=, timeout=)``, ``weights_version``
 and ``local_fallback_predictor()`` — the real
 :class:`~repro.serve.fleet.FleetClient` or a deterministic fake
-(``tests/serve/test_gateway.py``).
+(``tests/serve/test_gateway.py``).  ``sweep_node`` marks a node it could not
+reach as unserving, so the client is the one authority on node health and
+the gateway keeps no health state of its own.  A failed node call splits
+two ways: a transport failure or timeout requeues the batch onto the nodes
+still serving, while an :exc:`~repro.serve.rpc.RemoteError` — the node's
+answer to a bad request — fails every request of that batch at once,
+unretried, and leaves the node serving.
 """
 
 from __future__ import annotations
@@ -89,63 +92,6 @@ class GatewayOverloaded(RuntimeError):
         )
         self.queue_depth = queue_depth
         self.retry_after_s = retry_after_s
-
-
-class _CircuitBreaker:
-    """Per-node closed → open → half-open breaker with an injectable clock.
-
-    ``failure_threshold`` *consecutive* failures open the breaker; after
-    ``cooldown`` seconds one probe request is let through (half-open) — its
-    success closes the breaker, its failure re-opens it for another
-    cooldown.  Any success resets the failure count.
-    """
-
-    def __init__(
-        self, failure_threshold: int, cooldown: float, clock=time.monotonic
-    ) -> None:
-        self._threshold = max(1, int(failure_threshold))
-        self._cooldown = float(cooldown)
-        self._clock = clock
-        self._failures = 0
-        self._opened_at: Optional[float] = None
-        self._probing = False
-        self.trips = 0
-
-    @property
-    def state(self) -> str:
-        if self._opened_at is None:
-            return "closed"
-        if self._probing or self._clock() - self._opened_at >= self._cooldown:
-            return "half_open"
-        return "open"
-
-    def allow(self) -> bool:
-        """May a request route to this node right now?"""
-        if self._opened_at is None:
-            return True
-        if self._probing:
-            return False  # one half-open probe at a time
-        if self._clock() - self._opened_at >= self._cooldown:
-            self._probing = True
-            return True
-        return False
-
-    def record_success(self) -> None:
-        self._failures = 0
-        self._opened_at = None
-        self._probing = False
-
-    def record_failure(self) -> None:
-        if self._probing:
-            # The half-open probe failed: re-open for another cooldown.
-            self._probing = False
-            self._opened_at = self._clock()
-            self.trips += 1
-            return
-        self._failures += 1
-        if self._opened_at is None and self._failures >= self._threshold:
-            self._opened_at = self._clock()
-            self.trips += 1
 
 
 class _TokenBucket:
@@ -199,10 +145,13 @@ class Gateway:
     with the same ``serving_nodes`` / ``sweep_node`` / ``weights_version`` /
     ``local_fallback_predictor`` surface), ``await start()`` (or use ``async
     with``), then issue any number of concurrent
-    :meth:`predict` / :meth:`predict_sweep` calls.  All tunables have load-tested defaults;
-    ``clock`` only feeds the circuit breakers and the fallback rate limiter
-    so tests can drive them deterministically.
+    :meth:`predict` / :meth:`predict_sweep` calls.  All tunables have
+    load-tested defaults.
     """
+
+    #: A slow batch is hedged after this percentile of recent node round
+    #: trips (never sooner than ``hedge_delay_floor``).
+    HEDGE_PERCENTILE = 95.0
 
     def __init__(
         self,
@@ -211,26 +160,17 @@ class Gateway:
         max_pending: int = 1024,
         default_timeout: float = 10.0,
         max_attempts: int = 3,
-        hedge_after_percentile: float = 95.0,
         hedge_delay_floor: float = 0.05,
-        breaker_failures: int = 3,
-        breaker_cooldown: float = 5.0,
         fallback_rate: float = 8.0,
         fallback_burst: float = 8.0,
-        clock=time.monotonic,
     ) -> None:
         self._client = client
         self._window_s = float(window_s)
         self._max_pending = max(1, int(max_pending))
         self._default_timeout = float(default_timeout)
         self._max_attempts = max(1, int(max_attempts))
-        self._hedge_percentile = float(hedge_after_percentile)
         self._hedge_floor = float(hedge_delay_floor)
-        self._breaker_failures = int(breaker_failures)
-        self._breaker_cooldown = float(breaker_cooldown)
-        self._clock = clock
-        self._breakers: Dict[int, _CircuitBreaker] = {}
-        self._fallback_bucket = _TokenBucket(fallback_rate, fallback_burst, clock)
+        self._fallback_bucket = _TokenBucket(fallback_rate, fallback_burst)
         self._fallback_predictor = None
         self._fallback_version: Optional[int] = None
         self._fallback_lock = threading.Lock()
@@ -425,12 +365,11 @@ class Gateway:
             task.add_done_callback(self._dispatches.discard)
 
     def _routable_nodes(self) -> List[int]:
-        """Serving members whose circuit breaker admits traffic right now."""
+        """The members the client currently lets serve."""
         try:
-            serving = self._client.serving_nodes()
+            return self._client.serving_nodes()
         except Exception:  # noqa: BLE001 - a closed/failed client serves nobody
             return []
-        return [index for index in serving if self._breaker(index).allow()]
 
     def _route(self, pending: _Pending, serving: List[int]) -> Optional[int]:
         """Pick the node for one request: ring over non-avoided members."""
@@ -442,15 +381,6 @@ class Gateway:
         ring = shared_ring(tuple(sorted(candidates)))
         return ring.node_for(pending.region.region_id)
 
-    def _breaker(self, index: int) -> _CircuitBreaker:
-        breaker = self._breakers.get(index)
-        if breaker is None:
-            breaker = _CircuitBreaker(
-                self._breaker_failures, self._breaker_cooldown, self._clock
-            )
-            self._breakers[index] = breaker
-        return breaker
-
     # -------------------------------------------------------------- dispatch
     async def _dispatch(
         self,
@@ -459,7 +389,12 @@ class Gateway:
         dtype: Optional[str],
         items: List[_Pending],
     ) -> None:
-        """One per-node batch: call, hedge on a slow answer, retry on failure."""
+        """One per-node batch: call, hedge on a slow answer, retry on failure.
+
+        A transport failure requeues the batch (the client has already taken
+        the node out of ``serving_nodes()``); a :exc:`~repro.serve.rpc.RemoteError`
+        fails the whole batch with the node's error.
+        """
         deadline = min(p.deadline for p in items)
         regions = [p.region for p in items]
         tried: Set[int] = set()
@@ -469,6 +404,7 @@ class Gateway:
         hedged = False
         winner: Optional[int] = None
         results = None
+        remote_error: Optional[rpc.RemoteError] = None
         try:
             while tasks:
                 budget = deadline - self._loop.time()
@@ -502,22 +438,15 @@ class Gateway:
                 for task in done:
                     task_node = tasks.pop(task)
                     error = task.exception()
-                    if error is not None:
-                        self._breaker(task_node).record_failure()
-                        if self._breaker(task_node).state != "closed":
-                            _LOG.warning(
-                                "circuit breaker open for node %d: %s",
-                                task_node,
-                                error,
-                            )
+                    if isinstance(error, rpc.RemoteError):
+                        remote_error = error
+                    elif error is not None:
                         for pending in items:
                             pending.avoid.add(task_node)
-                        continue
-                    self._breaker(task_node).record_success()
-                    if results is None:
+                    elif results is None:
                         results = task.result()
                         winner = task_node
-                if results is not None:
+                if results is not None or remote_error is not None:
                     break
         except asyncio.CancelledError:
             for pending in items:
@@ -532,6 +461,13 @@ class Gateway:
             self._degraded = False
             for pending, result in zip(items, results):
                 self._resolve(pending, result)
+            return
+        if remote_error is not None:
+            # A bad request: every node would answer it the same way.
+            for pending in items:
+                if not pending.future.done():
+                    self._stats["failed"] += 1
+                    self._fail(pending, remote_error)
             return
         self._requeue_or_fail(items, tried)
 
@@ -690,37 +626,13 @@ class Gateway:
             return self._hedge_floor
         ordered = sorted(self._latencies)
         rank = min(
-            len(ordered) - 1, int(len(ordered) * self._hedge_percentile / 100.0)
+            len(ordered) - 1, int(len(ordered) * self.HEDGE_PERCENTILE / 100.0)
         )
         return max(self._hedge_floor, ordered[rank])
 
     def stats(self) -> Dict[str, object]:
-        """Counters plus live queue/breaker/degradation state.
-
-        When the client exposes transport accounting (``transport_stats``,
-        as :class:`~repro.serve.fleet.FleetClient` does), the fleet-wide
-        corruption/teardown/re-admission totals are folded in — so the
-        front door's dashboard view includes wire-level health.
-        """
+        """The gateway's counters plus its queue depth and degraded mode."""
         snapshot: Dict[str, object] = dict(self._stats)
         snapshot["queue_depth"] = len(self._queue)
         snapshot["degraded"] = self._degraded
-        snapshot["breaker_trips"] = sum(b.trips for b in self._breakers.values())
-        snapshot["open_breakers"] = sorted(
-            index
-            for index, breaker in self._breakers.items()
-            if breaker.state != "closed"
-        )
-        tier_stats = getattr(self._fallback_predictor, "tier_stats", None)
-        if callable(tier_stats):
-            snapshot["fallback_tier"] = tier_stats()
-        transport_stats = getattr(self._client, "transport_stats", None)
-        if callable(transport_stats):
-            try:
-                transport = transport_stats()
-            except Exception:  # noqa: BLE001 - stats must never raise
-                transport = None
-            if isinstance(transport, dict):
-                for key in ("corruption", "teardowns", "readmissions"):
-                    snapshot[key] = transport.get(key, 0)
         return snapshot

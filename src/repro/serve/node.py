@@ -21,10 +21,9 @@ A :class:`NodeServer` listens on a TCP socket, and over
     ``predict_sweep`` on the parent tuner.
 ``("clear",)`` / ``("stats",)`` / ``("ping",)`` / ``("stop",)``
     Cache control, cache statistics, liveness, shutdown.  ``ping`` reports
-    the node's registration state, weights version and frame-protocol
-    version, which is what the fleet's heartbeat handshake uses to decide
-    whether a recovered node needs a re-registration before being
-    re-admitted (and whether the peer speaks the frame protocol at all).
+    the node's registration state and weights version, which is what the
+    fleet's heartbeat handshake uses to decide whether a recovered node
+    needs a re-registration before being re-admitted.
 
 Frames are the self-verifying v2 format from :mod:`repro.serve.rpc`; a
 connection whose stream fails verification (:class:`~repro.serve.rpc.
@@ -89,8 +88,7 @@ class NodeServer:
         self._version = 0
         # Connections torn down because their stream failed frame
         # verification (bad magic/version/length/digest).  Surfaced in the
-        # stats reply so the fleet client and gateway can account for
-        # corruption fleet-wide.
+        # stats reply.
         self._corrupt_frames = 0
         self._lock = threading.Lock()
         self._stopped = threading.Event()
@@ -194,7 +192,6 @@ class NodeServer:
             return {
                 "registered": self._tuner is not None,
                 "version": self._version,
-                "protocol": rpc.PROTOCOL_VERSION,
                 "pid": os.getpid(),
             }
         if command == "register":
@@ -221,7 +218,6 @@ class NodeServer:
                     "hits": cache.hits,
                     "misses": cache.misses,
                     "version": self._version,
-                    "protocol": rpc.PROTOCOL_VERSION,
                     "corrupt_frames": self._corrupt_frames,
                     "pid": os.getpid(),
                     "buffers": tuner.inference_cache_stats(),
@@ -277,7 +273,6 @@ class NodeServer:
                 "num_regions": len(tuner.builder.regions()),
                 "dtypes": sorted(tuner._programs),
                 "version": self._version,
-                "protocol": rpc.PROTOCOL_VERSION,
                 "pid": os.getpid(),
             }
 

@@ -82,7 +82,6 @@ __all__ = [
     "connect",
     "error_frame",
     "send_message",
-    "recv_frame",
     "recv_message",
     "request",
 ]
@@ -268,10 +267,8 @@ def _recv_exact(
     return b"".join(chunks)
 
 
-def recv_frame(
-    sock: socket.socket, deadline: Optional[float] = None
-) -> Tuple[Any, int]:
-    """Receive one frame; returns ``(payload, protocol_version)``.
+def recv_message(sock: socket.socket, deadline: Optional[float] = None) -> Any:
+    """Receive one verified frame and return its unpickled payload.
 
     Verifies magic, version, flags, length and the payload digest before
     unpickling — any violation raises :class:`RpcCorruption` with no
@@ -310,16 +307,7 @@ def recv_frame(
             f"payload digest mismatch over {length} bytes: corrupt frame "
             f"(refusing to unpickle)"
         )
-    return pickle.loads(data), version
-
-
-def recv_message(sock: socket.socket, deadline: Optional[float] = None) -> Any:
-    """Receive one verified frame and return its unpickled payload.
-
-    See :func:`recv_frame` for the verification semantics.
-    """
-    payload, _version = recv_frame(sock, deadline=deadline)
-    return payload
+    return pickle.loads(data)
 
 
 def _command(payload: Any) -> str:

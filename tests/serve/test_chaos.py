@@ -139,7 +139,7 @@ class TestTargetedDrills:
             _wait_all_live(fleet)
             stats = fleet.client.stats()
             assert stats[0]["corrupt_frames"] == 1
-            assert stats[0]["client_teardowns"] >= 1
+            assert fleet.client.transport_stats()["nodes"][0]["teardowns"] >= 1
 
     def test_duplicate_bytes_detected_and_survived(
         self, fitted_tuner, small_builder, baselines
@@ -257,10 +257,7 @@ class TestSeededGatewayMatrix:
 
         async def scenario(fleet):
             async with Gateway(
-                fleet.client,
-                window_s=0.01,
-                default_timeout=120.0,
-                breaker_cooldown=0.2,
+                fleet.client, window_s=0.01, default_timeout=120.0
             ) as gateway:
                 for dtype in (None, "float32"):
                     served = await asyncio.gather(
@@ -270,10 +267,6 @@ class TestSeededGatewayMatrix:
                         )
                     )
                     assert served == baselines[dtype]
-                stats = gateway.stats()
-                # The gateway's dashboard view carries the wire-level totals.
-                for key in ("corruption", "teardowns", "readmissions"):
-                    assert key in stats
 
         with _chaos_fleet(fitted_tuner, plan, request_timeout=15.0) as fleet:
             asyncio.run(scenario(fleet))

@@ -110,7 +110,7 @@ class TestChaosProxy:
         with ChaosProxy(node.address) as proxy:
             info = _ping_through(proxy)
             assert info["registered"] is False
-            assert info["protocol"] == rpc.PROTOCOL_VERSION
+            assert info["version"] == 0
             # The proxy counts a reply after its sendall returns, which can
             # be just after the client already read it.
             deadline = time.monotonic() + 2.0
@@ -131,7 +131,7 @@ class TestChaosProxy:
                 _ping_through(proxy)
             assert proxy.stats()["faults"]["bitflip"] == 1
             # Later connections are clean: the proxy recovers by itself.
-            assert _ping_through(proxy)["protocol"] == rpc.PROTOCOL_VERSION
+            assert _ping_through(proxy)["version"] == 0
 
     def test_request_bitflip_counted_by_the_node(self, node):
         plan = FaultPlan([FaultEvent("bitflip", connection=0, frame=0,
@@ -182,7 +182,7 @@ class TestChaosProxy:
         with ChaosProxy(node.address, plan) as proxy:
             start = time.monotonic()
             info = _ping_through(proxy)
-            assert info["protocol"] == rpc.PROTOCOL_VERSION
+            assert info["version"] == 0
             assert time.monotonic() - start >= 0.1
             assert proxy.stats()["faults"]["delay"] == 1
 
@@ -190,10 +190,10 @@ class TestChaosProxy:
         plan = FaultPlan([FaultEvent("bitflip", connection=1, frame=0,
                                      direction="reply", offset=4)])
         with ChaosProxy(node.address, plan) as proxy:
-            assert _ping_through(proxy)["protocol"] == rpc.PROTOCOL_VERSION
+            assert _ping_through(proxy)["version"] == 0
             with pytest.raises(rpc.RpcCorruption):
                 _ping_through(proxy)
-            assert _ping_through(proxy)["protocol"] == rpc.PROTOCOL_VERSION
+            assert _ping_through(proxy)["version"] == 0
 
     def test_retarget_repoints_future_connections(self, node):
         replacement = NodeServer()
@@ -201,12 +201,12 @@ class TestChaosProxy:
         thread.start()
         try:
             with ChaosProxy(node.address) as proxy:
-                assert _ping_through(proxy)["protocol"] == rpc.PROTOCOL_VERSION
+                assert _ping_through(proxy)["version"] == 0
                 proxy.retarget(replacement.address)
                 # The original upstream is gone; answers can only come from
                 # the replacement now.
                 node.shutdown()
-                assert _ping_through(proxy)["protocol"] == rpc.PROTOCOL_VERSION
+                assert _ping_through(proxy)["version"] == 0
                 assert proxy.upstream == tuple(replacement.address)
                 assert proxy.stats()["connections"] == 2
         finally:
@@ -223,7 +223,7 @@ class TestChaosProxy:
                 for _ in range(3):
                     try:
                         rpc_reply = _ping_through(proxy, timeout=2.0)
-                        run.append(("ok", rpc_reply["protocol"]))
+                        run.append(("ok", rpc_reply["version"]))
                     except rpc.RpcCorruption:
                         run.append(("corrupt", None))
                     except rpc.RpcTimeout:

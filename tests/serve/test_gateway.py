@@ -1,13 +1,14 @@
-"""Gateway overload paths: coalescing, deadlines, shedding, hedging, breakers.
+"""Gateway overload paths: coalescing, deadlines, shedding, hedging, node failures.
 
 The deterministic tests drive the asyncio :class:`~repro.serve.gateway.Gateway`
 against an in-memory fake client (no sockets, no subprocesses) so every
 overload path — batch-window coalescing, deadline expiry inside and outside
-the window, queue-full shedding, hedge-first-answer-wins, breaker
-open/half-open/close, dead-fleet fallback — runs in milliseconds and never
-flakes on machine load.  The chaos drill at the bottom runs the same gateway
-over a real :class:`~repro.serve.fleet.LocalFleet` through pause/kill/kill-all
-churn and asserts byte-identity with serial ``predict_sweep`` throughout.
+the window, queue-full shedding, hedge-first-answer-wins, routing around a
+dead node, failing a bad request without retry, dead-fleet fallback — runs
+in milliseconds and never flakes on machine load.  The chaos drill at the
+bottom runs the same gateway over a real :class:`~repro.serve.fleet.LocalFleet`
+through pause/kill/kill-all churn and asserts byte-identity with serial
+``predict_sweep`` throughout.
 """
 
 import asyncio
@@ -27,7 +28,7 @@ from repro.serve import (
     LocalFleet,
 )
 from repro.serve import rpc
-from repro.serve.gateway import _CircuitBreaker, _TokenBucket
+from repro.serve.gateway import _TokenBucket
 
 CAPS = (40.0, 55.0, 70.0, 85.0)
 
@@ -73,24 +74,36 @@ class FakeClient:
 
     Answers are a pure function of ``(region_id, cap, dtype)`` — *not* of
     the node index — mirroring the fleet's byte-identity contract, so a
-    hedged duplicate is indistinguishable from the primary answer.
+    hedged duplicate is indistinguishable from the primary answer.  Like the
+    real client's ``sweep_node``, a failure other than
+    :exc:`~repro.serve.rpc.RemoteError` takes the node out of
+    ``serving_nodes()``, and a node answers an unsupported dtype with a
+    ``RemoteError``.
     """
 
     def __init__(self, num_nodes=2, fallback_tuner=None):
         self.nodes = {index: FakeNode() for index in range(num_nodes)}
+        self.dead = set()
         self.fallback_tuner = fallback_tuner
         self.fallback_builds = 0
         self.weights_version = 1
 
     def serving_nodes(self):
-        return sorted(self.nodes)
+        return sorted(set(self.nodes) - self.dead)
 
     def sweep_node(self, index, regions, power_caps, dtype=None, timeout=None):
         node = self.nodes[index]
         node.calls.append(([r.region_id for r in regions], tuple(power_caps), dtype))
         if node.latency:
             time.sleep(node.latency)
+        if dtype not in (None, "float32", "float64"):
+            raise rpc.RemoteError(
+                f"remote 'sweep' request failed: ValueError: unsupported dtype "
+                f"{dtype!r}"
+            )
         if node.fail is not None:
+            if not isinstance(node.fail, rpc.RemoteError):
+                self.dead.add(index)
             raise node.fail
         return [
             [(region.region_id, cap, dtype) for cap in power_caps]
@@ -317,7 +330,96 @@ class TestHedging:
         run(scenario())
 
 
-# ------------------------------------------------------------------ breakers
+# ------------------------------------------------------------- node failures
+class TestNodeFailures:
+    def test_gateway_routes_around_a_node_the_client_marked_dead(self):
+        async def scenario():
+            client = FakeClient(num_nodes=2)
+            region = FakeRegion("route-me")
+            primary = HashRing((0, 1)).node_for(region.region_id)
+            client.nodes[primary].fail = rpc.ConnectionClosed("node lost")
+            async with Gateway(client, window_s=0.005) as gateway:
+                # First request fails on the primary, retries on the other.
+                assert await gateway.predict_sweep(
+                    region, CAPS
+                ) == expected_answer("route-me")
+                failures = len(client.nodes[primary].calls)
+                # The client marked the primary dead: later requests skip it.
+                assert await gateway.predict_sweep(
+                    region, CAPS
+                ) == expected_answer("route-me")
+                assert len(client.nodes[primary].calls) == failures
+                assert gateway.stats()["retries"] >= 1
+
+        run(scenario())
+
+    def test_every_node_failing_exhausts_attempts(self):
+        async def scenario():
+            client = FakeClient(num_nodes=2)
+            for node in client.nodes.values():
+                node.fail = rpc.ConnectionClosed("gone")
+            async with Gateway(client, window_s=0.005, max_attempts=2) as gateway:
+                with pytest.raises(RuntimeError, match="failed on nodes"):
+                    await gateway.predict_sweep(FakeRegion("a"), CAPS, deadline=5.0)
+            assert gateway.stats()["failed"] == 1
+
+        run(scenario())
+
+    def test_remote_error_fails_the_batch_and_leaves_nodes_serving(self):
+        async def scenario():
+            client = FakeClient(num_nodes=2, fallback_tuner=FakeTuner())
+
+            def node_calls():
+                return sum(len(node.calls) for node in client.nodes.values())
+
+            async with Gateway(client, window_s=0.005) as gateway:
+                for name in ("bad-0", "bad-1"):
+                    before = node_calls()
+                    with pytest.raises(rpc.RemoteError, match="unsupported dtype"):
+                        await gateway.predict_sweep(
+                            FakeRegion(name), CAPS, dtype="float16"
+                        )
+                    assert node_calls() == before + 1  # never retried
+                assert gateway.stats()["failed"] == 2
+                for i in range(20):
+                    assert await gateway.predict_sweep(
+                        FakeRegion(f"r{i}"), CAPS
+                    ) == expected_answer(f"r{i}")
+                stats = gateway.stats()
+                assert stats["fallbacks"] == 0 and stats["retries"] == 0
+                assert stats["degraded"] is False
+            assert client.serving_nodes() == [0, 1]
+
+        run(scenario())
+
+    def test_bad_requests_leave_a_real_fleet_serving(
+        self, fitted_tuner, small_builder
+    ):
+        regions = small_builder.regions()
+        caps = list(CAPS)
+        expected = [fitted_tuner.predict_sweep(region, caps) for region in regions]
+
+        async def scenario(local):
+            async with Gateway(
+                local.client, window_s=0.005, default_timeout=120.0
+            ) as gateway:
+                for region in regions[:2]:
+                    with pytest.raises(rpc.RemoteError, match="float16"):
+                        await gateway.predict_sweep(region, caps, dtype="float16")
+                served = await asyncio.gather(
+                    *(gateway.predict_sweep(region, caps) for region in regions)
+                )
+                assert served == expected
+                stats = gateway.stats()
+                assert stats["fallbacks"] == 0 and stats["retries"] == 0
+                assert stats["degraded"] is False
+            assert local.client.serving_nodes() == [0, 1]
+
+        with LocalFleet(fitted_tuner, num_nodes=2, heartbeat_interval=None) as local:
+            asyncio.run(scenario(local))
+
+
+# ---------------------------------------------------------------- degradation
 class FakeClock:
     def __init__(self):
         self.now = 0.0
@@ -329,97 +431,6 @@ class FakeClock:
         self.now += seconds
 
 
-class TestCircuitBreaker:
-    def test_opens_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = _CircuitBreaker(3, 10.0, clock)
-        assert breaker.state == "closed" and breaker.allow()
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed"  # not yet at the threshold
-        breaker.record_failure()
-        assert breaker.state == "open" and breaker.trips == 1
-        assert not breaker.allow()
-
-    def test_success_resets_the_failure_count(self):
-        breaker = _CircuitBreaker(3, 10.0, FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_closes_on_success(self):
-        clock = FakeClock()
-        breaker = _CircuitBreaker(1, 10.0, clock)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock.advance(10.0)
-        assert breaker.allow()  # the one half-open probe
-        assert breaker.state == "half_open"
-        assert not breaker.allow()  # no second probe while one is out
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_half_open_probe_reopens_on_failure(self):
-        clock = FakeClock()
-        breaker = _CircuitBreaker(1, 10.0, clock)
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and breaker.trips == 2
-        assert not breaker.allow()
-        clock.advance(10.0)
-        assert breaker.allow()
-
-    def test_gateway_skips_an_open_breaker(self):
-        async def scenario():
-            client = FakeClient(num_nodes=2)
-            region = FakeRegion("route-me")
-            primary = HashRing((0, 1)).node_for(region.region_id)
-            other = 1 - primary
-            client.nodes[primary].fail = rpc.ConnectionClosed("node lost")
-            async with Gateway(
-                client, window_s=0.005, breaker_failures=1, breaker_cooldown=1000.0
-            ) as gateway:
-                # First request fails on the primary, retries on the other.
-                assert await gateway.predict_sweep(
-                    region, CAPS
-                ) == expected_answer("route-me")
-                failures = len(client.nodes[primary].calls)
-                # The breaker is now open: later requests skip the primary.
-                assert await gateway.predict_sweep(
-                    region, CAPS
-                ) == expected_answer("route-me")
-                assert len(client.nodes[primary].calls) == failures
-                stats = gateway.stats()
-                assert stats["retries"] >= 1
-                assert stats["breaker_trips"] >= 1
-                assert primary in stats["open_breakers"]
-
-        run(scenario())
-
-    def test_every_node_failing_exhausts_attempts(self):
-        async def scenario():
-            client = FakeClient(num_nodes=2)
-            for node in client.nodes.values():
-                node.fail = rpc.ConnectionClosed("gone")
-            async with Gateway(
-                client,
-                window_s=0.005,
-                max_attempts=2,
-                breaker_failures=100,  # keep both nodes routable throughout
-            ) as gateway:
-                with pytest.raises(RuntimeError, match="failed on nodes"):
-                    await gateway.predict_sweep(FakeRegion("a"), CAPS, deadline=5.0)
-            assert gateway.stats()["failed"] == 1
-
-        run(scenario())
-
-
-# ---------------------------------------------------------------- degradation
 class TestTokenBucket:
     def test_burst_then_refill(self):
         clock = FakeClock()
@@ -569,10 +580,7 @@ class TestGatewayChaosDrill:
 
         async def scenario(local):
             async with Gateway(
-                local.client,
-                window_s=0.01,
-                default_timeout=120.0,
-                breaker_cooldown=0.5,
+                local.client, window_s=0.01, default_timeout=120.0
             ) as gateway:
                 for dtype in (None, "float32"):
                     served = await asyncio.gather(

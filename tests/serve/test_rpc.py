@@ -38,13 +38,6 @@ class TestFraming:
         rpc.send_message(left, payload)
         assert rpc.recv_message(right) == payload
 
-    def test_recv_frame_reports_protocol_version(self, pair):
-        left, right = pair
-        rpc.send_message(left, "hello")
-        payload, version = rpc.recv_frame(right)
-        assert payload == "hello"
-        assert version == rpc.PROTOCOL_VERSION == 2
-
     def test_header_layout_is_32_bytes(self):
         assert rpc.HEADER_BYTES == 32
         assert rpc._PREAMBLE.size == 8  # same width as the legacy prefix
