@@ -121,6 +121,21 @@ class TestFleetEquivalence:
         assert sum(sizes) == len(regions)
         assert all(size > 0 for size in sizes)
 
+    def test_stats_report_each_nodes_own_counters(self, fleet, small_builder):
+        fleet.sweep(small_builder.regions(), CAPS)
+        stats = fleet.stats()
+        assert sorted(stats) == [0, 1]
+        pids = set()
+        for node_stats in stats.values():
+            for key in ("hits", "misses", "tier", "buffers", "pid"):
+                assert key in node_stats
+            # The client's end of each wire is reported by transport_stats.
+            assert not any(key.startswith("client_") for key in node_stats)
+            pids.add(node_stats["pid"])
+        assert len(pids) == 2 and os.getpid() not in pids
+        transport = fleet.client.transport_stats()
+        assert sorted(transport["nodes"]) == [0, 1]
+
     def test_remote_application_error_propagates(self, fleet, small_builder):
         region = small_builder.regions()[0]
         with pytest.raises(RemoteError, match="sweep"):

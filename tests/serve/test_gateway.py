@@ -392,6 +392,52 @@ class TestNodeFailures:
 
         run(scenario())
 
+    def test_remote_error_fails_every_request_of_a_coalesced_batch(self):
+        async def scenario():
+            client = FakeClient(num_nodes=1)
+            async with Gateway(client, window_s=0.05) as gateway:
+                outcomes = await asyncio.gather(
+                    *(
+                        gateway.predict_sweep(
+                            FakeRegion(f"bad-{i}"), CAPS, dtype="float16"
+                        )
+                        for i in range(4)
+                    ),
+                    return_exceptions=True,
+                )
+            # One batched node call, and its error answers all four at once.
+            assert len(client.nodes[0].calls) == 1
+            assert all(isinstance(o, rpc.RemoteError) for o in outcomes)
+            stats = gateway.stats()
+            assert stats["failed"] == 4 and stats["retries"] == 0
+            assert stats["completed"] == 0
+            assert client.serving_nodes() == [0]
+
+        run(scenario())
+
+    def test_bad_request_leaves_its_window_neighbours_answered(self):
+        async def scenario():
+            client = FakeClient(num_nodes=1)
+            async with Gateway(client, window_s=0.05) as gateway:
+                bad, *good = await asyncio.gather(
+                    gateway.predict_sweep(FakeRegion("bad"), CAPS, dtype="float16"),
+                    *(
+                        gateway.predict_sweep(FakeRegion(f"r{i}"), CAPS)
+                        for i in range(3)
+                    ),
+                    return_exceptions=True,
+                )
+            # The bad request is its own (caps, dtype) batch: its error
+            # never reaches the requests that shared its window.
+            assert isinstance(bad, rpc.RemoteError)
+            assert good == [expected_answer(f"r{i}") for i in range(3)]
+            assert len(client.nodes[0].calls) == 2
+            stats = gateway.stats()
+            assert stats["failed"] == 1 and stats["completed"] == 3
+            assert stats["retries"] == 0
+
+        run(scenario())
+
     def test_bad_requests_leave_a_real_fleet_serving(
         self, fitted_tuner, small_builder
     ):
