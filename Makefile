@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint coverage chaos bench-smoke perf-smoke bench
+.PHONY: test lint coverage chaos bench-smoke perf-smoke examples bench
 
 # Tier-1 verification: the full unit test suite.
 test:
@@ -54,6 +54,17 @@ bench-smoke:
 perf-smoke:
 	$(PYTHON) -m benchmarks.perf --workload tune_suite_cv --seed 0 --seconds 1
 	$(PYTHON) -m benchmarks.perf --workload serve_novel --seed 0 --seconds 1
+
+# The examples (CI `perf` job), each trained for 2 epochs, about 20 s in all:
+# quickstart.py (time objective), edp_tuning.py (the EDP predict path) and
+# fleet_serving.py, which exits 1 unless the compiled program's bits equal
+# the Module's, the batched, fleet, gateway and fallback answers equal the
+# serial ones, and the tiered fleet answers like the in-process tiered
+# predictor.
+examples:
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py --epochs 2
+	PYTHONPATH=src $(PYTHON) examples/edp_tuning.py --epochs 2
+	PYTHONPATH=src $(PYTHON) examples/fleet_serving.py --epochs 2 --distill-epochs 40
 
 # The paper-figure benchmark suite (pytest-benchmark harness): Figures 2-7,
 # the headline summary, the feature ablation, transfer learning and the

@@ -131,19 +131,21 @@ class _GnnEncoder(Module):
             flat_index=plan.pool_flat(x.shape[1]),
         )
 
-    def lower(self) -> List[KernelStep]:
-        """Lower the encoder to the flat raw-ndarray step list.
+    def lower(self, dtype: np.dtype) -> List[KernelStep]:
+        """Lower the encoder to the flat raw-ndarray step list at ``dtype``.
 
         Embedding sum, then per layer convolution + in-place leaky ReLU
         ping-ponging between two hidden slots, then the mean-pool read-out —
         the exact op order of :meth:`forward` on the planned path.
         """
-        steps = self.token_embedding.lower("token_ids", "embed")
-        steps += self.kind_embedding.lower("node_types", "embed", accumulate=True)
+        steps = self.token_embedding.lower("token_ids", "embed", dtype)
+        steps += self.kind_embedding.lower(
+            "node_types", "embed", dtype, accumulate=True
+        )
         in_slot = "embed"
         for index, conv in enumerate(self.convs):
             out_slot = "hidden0" if index % 2 == 0 else "hidden1"
-            steps += conv.lower(in_slot, out_slot)
+            steps += conv.lower(in_slot, out_slot, dtype)
             steps.append(LeakyReLUStep(out_slot, self.config.leaky_slope))
             in_slot = out_slot
         steps += lower_global_mean_pool(in_slot)
@@ -191,17 +193,17 @@ class _DenseHead(Module):
                 x = self.dropout(x)
         return x
 
-    def lower(self) -> DenseHeadProgram:
-        """Lower the classifier to its raw-ndarray inference program.
+    def lower(self, dtype: np.dtype) -> DenseHeadProgram:
+        """Lower the classifier to its raw-ndarray inference program at ``dtype``.
 
         Eval-mode semantics (dropout is the identity): affine steps with the
         in-place ReLU between, plus the same pooled/aux dtype-cast boundary
         as :meth:`forward`.
         """
         return DenseHeadProgram(
-            [layer.lower() for layer in self.layers],
+            [layer.lower(dtype) for layer in self.layers],
             aux_dim=self.config.aux_dim,
-            dtype=self.dtype,
+            dtype=dtype,
         )
 
 
@@ -223,30 +225,36 @@ class PnPModel(Module):
             self.head = _DenseHead(config)
 
     # ------------------------------------------------------------ inference
-    def compile_inference(self) -> InferenceProgram:
+    def compile_inference(self, dtype: Optional[str] = None) -> InferenceProgram:
         """Lower this model to an autograd-free :class:`InferenceProgram`.
 
         The program is a flat, ordered list of raw-ndarray kernel steps
         (embedding lookup, planned RGCN message passing, mean pooling, dense
-        head) sharing this model's parameter arrays by reference — no
-        ``Tensor`` wrappers, no autograd graph — and is bit-identical to the
-        ``Module`` inference path at float64 (at float32, to the ``Module``
-        under :func:`~repro.nn._scatter.reference_kernels`).  Buffers are
+        head) — no ``Tensor`` wrappers, no autograd graph — and is
+        bit-identical to the ``Module`` inference path at float64 (at
+        float32, to the ``Module`` under
+        :func:`~repro.nn._scatter.reference_kernels`).  Buffers are
         preallocated per ``(EdgePlan, dtype)`` on first use and reused
         across calls.
 
-        Programs snapshot the current parameter arrays: any path that
-        rebinds them (training steps, ``load_state_dict``, ``astype``)
-        makes the program report :meth:`InferenceProgram.stale`, and the
-        tuner's program cache recompiles automatically.
+        ``dtype`` (default: the model's own) is the serving precision.  At
+        the model's dtype the program shares the parameter arrays by
+        reference; at another, each parameter is cast once here, with the
+        rounding :meth:`Module.load_state_dict` applies, so the program
+        equals that of a model built at ``dtype`` and loaded with these
+        weights.  Either way the program keeps the arrays it was compiled
+        from: whoever rebinds the weights (training steps,
+        ``load_state_dict``, ``astype``) compiles a new program, as
+        :class:`~repro.core.tuner.PnPTuner` does on its next query.
         """
+        dtype = self.dtype if dtype is None else precision.resolve_dtype(dtype)
         return InferenceProgram(
-            encoder_steps=self.gnn.lower(),
-            head=self.head.lower(),
+            encoder_steps=self.gnn.lower(dtype),
+            head=self.head.lower(dtype),
             num_relations=self.config.num_relations,
-            dtype=self.dtype,
-            source=self,
+            dtype=dtype,
         )
+
     def encode(self, batch: GraphBatch) -> Tensor:
         """Pooled per-graph embedding of shape ``(num_graphs, hidden_dim)``.
 

@@ -25,10 +25,14 @@ each region (independent of the power cap and other auxiliary features) is
 computed once and held in an LRU cache keyed by (region id, content
 fingerprint, dtype), so repeated queries on a region — and in particular
 :meth:`PnPTuner.predict_sweep`, which scores many power caps in one
-dense-head batch — skip the GNN entirely after the first call.  The cache
-is invalidated whenever the model weights change (``fit`` /
-``load_state_dict``), and a region whose characteristics change under the
-same id misses the cache instead of serving a stale embedding.
+dense-head batch — skip the GNN entirely after the first call.  Every
+serving program is compiled straight from ``tuner.model``, at any serving
+dtype.  One check guards both caches: every entry point compares the
+model's parameter arrays, by identity, against the snapshot the caches
+were built from, and a weight change of any kind (``fit``,
+``load_state_dict``, or a rebinding behind the tuner's back) flushes them.
+A region whose characteristics change under the same id misses the cache
+instead of serving a stale embedding.
 
 :meth:`PnPTuner.predict_sweep_many` extends the amortisation across
 *regions*: all cache-miss graphs of a multi-region sweep are collated into
@@ -101,8 +105,8 @@ class PnPTuner:
         Model precision ("float64" default, "float32" fast path).  Overrides
         the ``model_config`` dtype when both are given.  Independently of the
         training precision, :meth:`predict_sweep` can serve a sweep at a
-        different precision via its own ``dtype=`` argument (the weights are
-        cast once and cached).
+        different precision via its own ``dtype=`` argument (that program's
+        weights are cast once, when it is compiled).
     """
 
     #: Capacity of the per-tuner pooled-embedding LRU cache (regions×dtypes).
@@ -153,27 +157,20 @@ class PnPTuner:
         self.model = PnPModel(self.model_config)
         self._fitted = False
         # Parameter arrays the serving caches were built from (identity
-        # snapshot).  Every serving entry point compares against the model's
-        # current arrays, so a weight change that bypasses the tuner
-        # (direct load_state_dict/astype/training on self.model) flushes the
-        # embedding cache, cast models and compiled programs instead of
-        # serving stale results.
+        # snapshot): the one staleness check.  Every serving entry point
+        # compares it against the model's current arrays, so a weight change
+        # that bypasses the tuner (direct load_state_dict/astype/training on
+        # self.model) flushes both caches below instead of serving stale
+        # results.
         self._served_arrays: Optional[List[np.ndarray]] = None
         # Pooled graph embeddings are independent of the auxiliary features,
         # so repeated queries (and power-cap sweeps) on the same region reuse
         # one GNN encoding.  Keys are (region id, content fingerprint,
         # dtype) — the fingerprint catches a region whose characteristics
-        # change under the same id — and the cache is invalidated whenever
-        # the weights change.
+        # change under the same id.
         self._embedding_cache: LRUCache = LRUCache(maxsize=self.EMBEDDING_CACHE_SIZE)
-        # Weight casts of self.model at other precisions, built lazily for
-        # dtype-overridden sweeps and invalidated with the embedding cache.
-        self._cast_models: Dict[str, PnPModel] = {}
-        # Compiled inference programs per serving dtype (autograd-free
-        # raw-ndarray runtime), invalidated with the cast models whenever
-        # the weights change; InferenceProgram.stale() additionally catches
-        # any weight rebinding that bypasses the tuner (direct
-        # load_state_dict/astype/training on the underlying model).
+        # Compiled inference programs (autograd-free raw-ndarray runtime),
+        # keyed by serving dtype name, each compiled from self.model.
         self._programs: Dict[str, InferenceProgram] = {}
         # Micro-model runtimes (repro.distill.runtime.MicroRuntime) serving
         # through this tuner's head.  Weak: the tuner accounts for and sheds
@@ -201,10 +198,7 @@ class PnPTuner:
         samples = list(samples) if samples is not None else self.build_training_samples()
         history = train_model(self.model, samples, self.training_config, parameters=parameters)
         self._fitted = True
-        self._embedding_cache.clear()
-        self._cast_models.clear()
-        self._programs.clear()
-        self._served_arrays = [param.data for param in self.model.parameters()]
+        self._flush_serving_caches()
         _LOG.info(
             "PnP tuner fitted (%s, %s): final loss %.4f, accuracy %.3f",
             self.system,
@@ -215,34 +209,18 @@ class PnPTuner:
         return self
 
     # -------------------------------------------------------------- predict
-    def _model_at(self, dtype: Optional[str]) -> PnPModel:
-        """``self.model`` or a cached weight-cast copy at ``dtype``."""
-        if dtype is None:
-            return self.model
-        resolved = precision.resolve_dtype(dtype)
-        if resolved == self.model.dtype:
-            return self.model
-        cast = self._cast_models.get(resolved.name)
-        if cast is None:
-            cast = PnPModel(replace(self.model_config, dtype=resolved.name))
-            # Module.load_state_dict casts each value to the parameter dtype.
-            cast.load_state_dict(self.model.state_dict())
-            cast.eval()
-            self._cast_models[resolved.name] = cast
-        return cast
+    def _program_for(self, dtype: Optional[str]) -> InferenceProgram:
+        """The cached program serving at ``dtype`` (default: the model's).
 
-    def _program_for(self, model: PnPModel) -> InferenceProgram:
-        """The cached compiled program serving ``model``.
-
-        Programs are compiled lazily per serving dtype and cached until the
-        weights change (``fit`` / :meth:`load_state_dict` clear the cache; a
-        direct ``load_state_dict``/``astype`` on the model is caught by
-        :meth:`InferenceProgram.stale`).
+        Programs are compiled lazily from ``self.model``, one per serving
+        dtype, and live until the weights change: every entry point runs
+        :meth:`_require_fitted` first, which flushes them.
         """
-        key = model.dtype.name
+        resolved = self.model.dtype if dtype is None else precision.resolve_dtype(dtype)
+        key = resolved.name
         program = self._programs.get(key)
-        if program is None or program.stale():
-            program = model.compile_inference()
+        if program is None:
+            program = self.model.compile_inference(key)
             self._programs[key] = program
         return program
 
@@ -253,16 +231,18 @@ class PnPTuner:
         the tuner's ``predict`` / ``predict_sweep`` / ``predict_sweep_many``
         entry points execute, compiling it eagerly — serving replicas (e.g.
         :class:`repro.serve.NodeServer` registrations) call this at start-up
-        so the first query pays no lowering cost.
+        so the first query pays no lowering cost.  Like every entry point it
+        runs the staleness check first, so the program returned serves the
+        weights ``self.model`` holds now.
         """
         self._require_fitted()
-        return self._program_for(self._model_at(dtype))
+        return self._program_for(dtype)
 
     def _embedding_key(
-        self, region: RegionCharacteristics, model: PnPModel
+        self, region: RegionCharacteristics, program: InferenceProgram
     ) -> Tuple[str, str, str]:
         """LRU key of a region's pooled embedding: (id, fingerprint, dtype)."""
-        return (region.region_id, region.fingerprint(), model.dtype.name)
+        return (region.region_id, region.fingerprint(), program.dtype.name)
 
     def predict(
         self, region: RegionCharacteristics, power_cap: Optional[float] = None
@@ -281,8 +261,8 @@ class PnPTuner:
             if power_cap is None:
                 raise ValueError("power_cap is required for the performance scenario")
             return self.predict_sweep(region, [power_cap])[0]
-        program = self._program_for(self.model)
-        key = self._embedding_key(region, self.model)
+        program = self._program_for(None)
+        key = self._embedding_key(region, program)
         pooled = self._embedding_cache.get(key)
         if pooled is not None and not self.include_counters:
             # Static features: the EDP aux row is registration-independent,
@@ -324,10 +304,11 @@ class PnPTuner:
         power cap is an auxiliary input; the EDP model chooses the cap
         itself, so use :meth:`predict` there.
 
-        ``dtype`` overrides the serving precision for this sweep: the model
-        weights are cast once (cached until the next ``fit``/weight load) and
-        the encoding + dense-head batch run entirely at that precision —
-        e.g. ``dtype="float32"`` halves the sweep's memory traffic on a
+        ``dtype`` overrides the serving precision for this sweep: the
+        program at that dtype is compiled from ``self.model`` with each
+        weight cast once (and cached until the weights change), and the
+        encoding + dense-head batch run entirely at that precision — e.g.
+        ``dtype="float32"`` halves the sweep's memory traffic on a
         float64-trained tuner.
         """
         return self.predict_sweep_many([region], power_caps, dtype=dtype)[0]
@@ -372,9 +353,8 @@ class PnPTuner:
             return []
         if not caps:
             return [[] for _ in regions]
-        model = self._model_at(dtype)
-        program = self._program_for(model)
-        keys = [self._embedding_key(region, model) for region in regions]
+        program = self._program_for(dtype)
+        keys = [self._embedding_key(region, program) for region in regions]
 
         # Collect the cache-miss regions (first occurrence of each key only).
         miss_keys: List[Tuple[str, str, str]] = []
@@ -458,24 +438,26 @@ class PnPTuner:
     def _require_fitted(self) -> None:
         """Entry gate of every serving call: fitted, and caches current.
 
-        Beyond the fitted check, this compares the model's parameter arrays
-        (by identity) against the snapshot the serving caches were built
-        from; a mismatch means the weights were rebound behind the tuner's
-        back, so every weights-derived cache is flushed before serving.
+        Beyond the fitted check, this is the tuner's one staleness check:
+        it compares the model's parameter arrays (by identity) against the
+        snapshot the serving caches were built from.  A mismatch means the
+        weights were rebound behind the tuner's back, so the embedding cache
+        and the compiled programs are flushed before serving.
         """
         if not self._fitted:
             raise RuntimeError("PnPTuner.predict called before fit()")
         current = [param.data for param in self.model.parameters()]
-        if self._served_arrays is None:
-            self._served_arrays = current
-        elif len(current) != len(self._served_arrays) or any(
+        if len(current) != len(self._served_arrays) or any(
             array is not served
             for array, served in zip(current, self._served_arrays)
         ):
-            self._embedding_cache.clear()
-            self._cast_models.clear()
-            self._programs.clear()
-            self._served_arrays = current
+            self._flush_serving_caches()
+
+    def _flush_serving_caches(self) -> None:
+        """Drop every weights-derived cache and snapshot the current weights."""
+        self._embedding_cache.clear()
+        self._programs.clear()
+        self._served_arrays = [param.data for param in self.model.parameters()]
 
     # ------------------------------------------------------------- weights
     def state_dict(self) -> Dict[str, np.ndarray]:
@@ -484,10 +466,7 @@ class PnPTuner:
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         self.model.load_state_dict(state)
         self._fitted = True
-        self._embedding_cache.clear()
-        self._cast_models.clear()
-        self._programs.clear()
-        self._served_arrays = [param.data for param in self.model.parameters()]
+        self._flush_serving_caches()
 
     # ----------------------------------------------------- inference buffers
     def attach_micro_runtime(self, runtime) -> None:

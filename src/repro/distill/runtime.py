@@ -14,7 +14,10 @@ Reusing the tuner's head (same weight arrays, same
 :func:`~repro.core.search_space.SearchSpace.normalized_cap` bits in the aux
 row) means a micro prediction differs from the GNN path only in how the
 pooled embedding was produced — and the GNN fallback for untrusted regions
-*is* the tuner path, byte for byte.
+*is* the tuner path, byte for byte.  Every answer asks the tuner for its
+program (:meth:`~repro.core.tuner.PnPTuner.compile_inference`), so it passes
+the tuner's one staleness check: weights rebound on ``tuner.model`` reach
+the very next micro answer.
 
 The runtime registers itself with the host tuner
 (:meth:`~repro.core.tuner.PnPTuner.attach_micro_runtime`), so
@@ -32,7 +35,6 @@ import numpy as np
 from repro.core.tuner import TuningResult
 from repro.distill.features import FEATURE_DIM, feature_values
 from repro.distill.student import DistilledModel, FamilyStudent
-from repro.nn import precision
 from repro.nn.inference import DenseHeadProgram, DenseStep
 
 __all__ = ["MicroRuntime"]
@@ -77,15 +79,6 @@ class MicroRuntime:
         self.tuner = tuner
         # (family, dtype name) -> lowered student program.
         self._programs: Dict[Tuple[str, str], _FamilyProgram] = {}
-        # Warm-path caches pinned to the tuner's served-weights snapshot
-        # (the ``_served_arrays`` list object is rebuilt by ``fit`` /
-        # ``load_state_dict`` / the tuner's own rebind detection, so its
-        # identity is a cheap weights-version token): compiled head per
-        # dtype name and resolved dtype per caller spelling.  They spare
-        # every warm predict the tuner's full parameter-identity walk.
-        self._served_token: Optional[object] = None
-        self._heads: Dict[str, object] = {}
-        self._resolved: Dict[Optional[str], np.dtype] = {}
         # dtype name -> (1, FEATURE_DIM) input buffer.
         self._feature_buffers: Dict[str, np.ndarray] = {}
         # (dtype name, rows) -> (rows buffer (C, H), aux buffer (C, aux_dim)).
@@ -148,24 +141,10 @@ class MicroRuntime:
         self, region, aux_values: Sequence[float], dtype: Optional[str]
     ) -> np.ndarray:
         """Head labels for one region at the given aux rows (workspace view)."""
-        tuner = self.tuner
-        if tuner._served_arrays is not self._served_token:
-            self._heads.clear()
-            self._resolved.clear()
-        resolved = self._resolved.get(dtype)
-        if resolved is None:
-            resolved = (
-                tuner.model.dtype if dtype is None else precision.resolve_dtype(dtype)
-            )
-            self._resolved[dtype] = resolved
-        head = self._heads.get(resolved.name)
-        if head is None:
-            # The full route: staleness walk, cast model, program cache.  It
-            # refreshes the tuner's served-weights snapshot, which then pins
-            # this head until the weights change again.
-            head = tuner.compile_inference(resolved.name)
-            self._heads[resolved.name] = head
-            self._served_token = tuner._served_arrays
+        # The tuner's program at this dtype, asked for on every call: the
+        # tuner's staleness check recompiles it if the weights were rebound.
+        head = self.tuner.compile_inference(dtype)
+        resolved = head.dtype
         program = self._family_program(region.application, resolved)
         features = self._feature_buffer(resolved)
         row = features[0]
@@ -238,6 +217,3 @@ class MicroRuntime:
         self._programs.clear()
         self._feature_buffers.clear()
         self._sweep_buffers.clear()
-        self._heads.clear()
-        self._resolved.clear()
-        self._served_token = None

@@ -12,7 +12,8 @@ planned RGCN message passing through the existing
 :mod:`repro.nn._scatter` kernels, mean pooling, dense head) that
 
 * references the model's parameter arrays directly (no ``Tensor`` wrappers,
-  no autograd graph, no ``no_grad`` bookkeeping),
+  no autograd graph, no ``no_grad`` bookkeeping) — or, at another serving
+  dtype, copies cast once at lowering time,
 * owns **one memory-planned arena per** ``(EdgePlan, dtype)``: a liveness
   pass over the flat step list records every buffer's first/last-use step,
   then disjoint-lifetime buffers share reusable slabs (the per-plan
@@ -37,15 +38,14 @@ planned RGCN message passing through the existing
 Lowering is owned by the modules themselves — :meth:`Embedding.lower`,
 :meth:`Linear.lower`, :meth:`RGCNConv.lower`,
 :func:`repro.nn.pooling.lower_global_mean_pool` and
-``PnPModel.compile_inference()`` compose the step classes defined here.
+``PnPModel.compile_inference(dtype)`` compose the step classes defined here.
 
-Programs snapshot parameter *references* at compile time; anything that
-rebinds parameter data (training/optimizer steps, ``load_state_dict``,
-``astype``) makes a program stale.  :meth:`InferenceProgram.stale` detects
-this by comparing the captured arrays against the source model's current
-parameters by identity, and :class:`repro.core.tuner.PnPTuner` recompiles
-automatically.  Long-lived servers shed the accumulated arenas with
-:meth:`InferenceProgram.clear_buffers` (surfaced as
+A program keeps the arrays it was compiled from.  Anything that rebinds
+parameter data (training/optimizer steps, ``load_state_dict``, ``astype``)
+leaves it serving the old weights, so whoever rebinds them compiles a new
+one: :class:`repro.core.tuner.PnPTuner` checks its model's parameters by
+identity on every query and recompiles.  Long-lived servers shed the
+accumulated arenas with :meth:`InferenceProgram.clear_buffers` (surfaced as
 ``PnPTuner.clear_inference_buffers``) and observe them via
 :meth:`InferenceProgram.buffer_stats`.
 """
@@ -779,9 +779,10 @@ class DenseHeadProgram:
 class InferenceProgram:
     """A model lowered to the autograd-free serving runtime.
 
-    Construct via ``PnPModel.compile_inference()``.  The program shares the
-    model's parameter arrays by reference and reproduces the ``Module``
-    inference path bit for bit (at float32, the ``Module`` under
+    Construct via ``PnPModel.compile_inference(dtype)``.  The program holds
+    the arrays it was compiled from (the model's own at the model's dtype,
+    copies cast once at another) and reproduces the ``Module`` inference
+    path bit for bit (at float32, the ``Module`` under
     :func:`~repro.nn._scatter.reference_kernels`); arenas are planned lazily per
     ``(EdgePlan, dtype)`` and reused across calls, so interleaving batches
     of different sizes is safe — each plan owns its own arena.
@@ -793,7 +794,6 @@ class InferenceProgram:
         head: DenseHeadProgram,
         num_relations: int,
         dtype: np.dtype,
-        source=None,
     ) -> None:
         self.encoder_steps = list(encoder_steps)
         self.head = head
@@ -802,40 +802,8 @@ class InferenceProgram:
         self._bound: "weakref.WeakKeyDictionary[EdgePlan, _BoundEncoder]" = (
             weakref.WeakKeyDictionary()
         )
-        self._source = weakref.ref(source) if source is not None else None
-        # The parameter arrays this program serves, in named_parameters
-        # order.  The program's steps hold them anyway; keeping the ordered
-        # list lets stale() compare them against the model's *current*
-        # arrays by identity.
-        self._source_arrays = (
-            [param.data for param in source.parameters()] if source is not None else None
-        )
 
-    # ------------------------------------------------------------- lifetime
-    def stale(self) -> bool:
-        """Whether the source model's weights were rebound since compile.
-
-        Every weight-changing path — optimizer steps during training,
-        ``load_state_dict`` (on the model *or* any sub-module), ``astype``,
-        direct ``param.data`` assignment — rebinds parameter arrays, so the
-        program compiled earlier would keep serving the old arrays.  This
-        compares the captured arrays against the model's current parameters
-        by identity; callers (e.g. the tuner's program cache) recompile
-        when it returns True.
-        """
-        if self._source is None:
-            return False
-        model = self._source()
-        if model is None:
-            return True
-        current = [param.data for param in model.parameters()]
-        if len(current) != len(self._source_arrays):
-            return True
-        return any(
-            captured is not array
-            for captured, array in zip(self._source_arrays, current)
-        )
-
+    # ------------------------------------------------------------- buffers
     @property
     def num_bound_plans(self) -> int:
         """How many ``(EdgePlan, dtype)`` arena bindings are currently live."""

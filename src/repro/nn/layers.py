@@ -210,17 +210,19 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def lower(self):
-        """Lower to a raw-ndarray :class:`~repro.nn.inference.DenseStep`.
+    def lower(self, dtype: np.dtype):
+        """Lower to a raw-ndarray :class:`~repro.nn.inference.DenseStep` at ``dtype``.
 
-        The step shares this layer's parameter arrays by reference and
-        reproduces the forward bit for bit (matmul, then in-place bias add
-        on the fresh result).
+        At the layer's own dtype the step shares its parameter arrays by
+        reference; at another it holds copies cast once.  It reproduces the
+        forward bit for bit (matmul, then in-place bias add on the fresh
+        result).
         """
         from repro.nn.inference import DenseStep
 
         return DenseStep(
-            self.weight.data, self.bias.data if self.bias is not None else None
+            self.weight.data.astype(dtype, copy=False),
+            self.bias.data.astype(dtype, copy=False) if self.bias is not None else None,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -257,16 +259,21 @@ class Embedding(Module):
             raise IndexError("embedding index out of range")
         return self.weight.gather_rows(ids)
 
-    def lower(self, ids_input: str, out_slot: str, accumulate: bool = False):
+    def lower(
+        self, ids_input: str, out_slot: str, dtype: np.dtype, accumulate: bool = False
+    ):
         """Lower to a raw-ndarray gather step for the inference runtime.
 
         ``ids_input`` names the encoder input to gather by (``"token_ids"``
         or ``"node_types"``); with ``accumulate=True`` the gathered rows add
         into ``out_slot`` in place (the token + node-kind embedding sum).
+        The table is cast to ``dtype`` once (shared by reference at the
+        layer's own dtype).
         """
         from repro.nn.inference import GatherRowsStep
 
-        return [GatherRowsStep(self.weight.data, ids_input, out_slot, accumulate)]
+        table = self.weight.data.astype(dtype, copy=False)
+        return [GatherRowsStep(table, ids_input, out_slot, accumulate)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Embedding({self.num_embeddings}, {self.embedding_dim})"

@@ -178,7 +178,7 @@ class RGCNConv(Module):
             out = out + self.bias
         return out
 
-    def lower(self, in_slot: str, out_slot: str) -> list:
+    def lower(self, in_slot: str, out_slot: str, dtype: np.dtype) -> list:
         """Lower this layer to raw-ndarray steps for the inference runtime.
 
         Returns the :class:`~repro.nn.inference.RGCNStep` reproducing
@@ -187,15 +187,17 @@ class RGCNConv(Module):
         :func:`~repro.nn._scatter.reference_kernels` run at float32); the
         step consumes the batch's :class:`EdgePlan` (schedules and buffers
         bind once per plan, on first use) exactly like the planned tensor
-        path.
+        path.  The weights are cast to ``dtype`` once (shared by reference
+        at the layer's own dtype).
         """
         from repro.nn.inference import RGCNStep
 
+        bias = None if self.bias is None else self.bias.data.astype(dtype, copy=False)
         return [
             RGCNStep(
-                weight=self.weight.data,
-                root=self.root.data,
-                bias=self.bias.data if self.bias is not None else None,
+                weight=self.weight.data.astype(dtype, copy=False),
+                root=self.root.data.astype(dtype, copy=False),
+                bias=bias,
                 num_relations=self.num_relations,
                 in_slot=in_slot,
                 out_slot=out_slot,

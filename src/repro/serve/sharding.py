@@ -8,10 +8,10 @@ stay hot, and a re-run reproduces the exact same batch compositions.
 
 :class:`HashRing` (virtual-node blake2s ring) serves a membership that
 *churns* — the multi-node :class:`~repro.serve.fleet.FleetClient`, where
-nodes crash, recover, join and leave at runtime.  Removing a node moves
-**only that node's keys** to the survivors (the survivors' own keys never
-move, so their embedding caches stay warm), and adding a node steals only
-≈``1/(N+1)`` of the keys.
+nodes crash, recover, join and leave at runtime.  Each membership gets its
+own immutable ring; losing a node moves **only that node's keys** to the
+survivors (the survivors' own keys never move, so their embedding caches
+stay warm), and adding a node steals only ≈``1/(N+1)`` of the keys.
 
 Routers look rings up through :func:`shared_ring`, one memo per process
 keyed by the serving membership, so a steady membership builds its ring
@@ -27,78 +27,48 @@ from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 __all__ = ["HashRing", "shared_ring"]
 
+#: Ring points per node.
+_REPLICAS = 64
+
 
 class HashRing:
-    """Virtual-node consistent hashing over an elastic node membership.
+    """Virtual-node consistent hashing over one node membership.
 
-    Every node is placed on a 64-bit ring at ``replicas`` points (blake2s of
+    Every node is placed on a 64-bit ring at 64 points (blake2s of
     ``"{node}#{replica}"``); a key is owned by the first node point at or
     after its own blake2s hash, wrapping around.  Because both sides are
     content hashes, the mapping is identical across processes, machines and
-    reruns — no salted ``hash()``, no insertion-order dependence.
+    reruns — no salted ``hash()``, no dependence on the order of ``nodes``.
 
-    The property the fleet cares about: **membership changes move O(1/N) of
-    the keys**.  Removing a node deletes only its points, so exactly the
-    keys it owned remap (onto their next points — the survivors); every
-    surviving node keeps every key it had, which is what keeps per-node
-    embedding caches warm through crashes and restarts.  Adding a node
-    steals ≈``1/(N+1)`` of the keys and touches nothing else.
+    A ring is immutable: a membership change builds the ring of the new
+    membership (through :func:`shared_ring`).  The property the fleet cares
+    about is that **the two rings differ by O(1/N) of the keys**.  Dropping
+    a node drops only its points, so exactly the keys it owned remap (onto
+    their next points — the survivors); every surviving node keeps every
+    key it had, which is what keeps per-node embedding caches warm through
+    crashes and restarts.  Adding a node steals ≈``1/(N+1)`` of the keys and
+    touches nothing else.
 
     Node ids may be any hashable with a stable ``str()`` (the fleet uses
     its integer member indices, so a node that restarts under the same
     index reclaims exactly its old shard).
     """
 
-    def __init__(self, nodes: Iterable[Hashable] = (), replicas: int = 64) -> None:
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
+    def __init__(self, nodes: Iterable[Hashable] = ()) -> None:
         # Sorted, parallel arrays: ring points and the node owning each point.
         # Entries sort by (point, str(node)) so hash collisions (astronomically
         # unlikely at 64 bits) still order deterministically.
-        self._entries: List[tuple] = []
-        self._points: List[int] = []
-        self._members: set = set()
-        for node in nodes:
-            self.add(node)
+        self._entries: List[tuple] = sorted(
+            (self._hash(f"{node}#{replica}"), str(node), node)
+            for node in nodes
+            for replica in range(_REPLICAS)
+        )
+        self._points: List[int] = [entry[0] for entry in self._entries]
 
     @staticmethod
     def _hash(key: str) -> int:
         digest = hashlib.blake2s(key.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big")
-
-    # ------------------------------------------------------------ membership
-    @property
-    def nodes(self) -> List[Hashable]:
-        """The current membership, deterministically ordered."""
-        return sorted(self._members, key=str)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, node: Hashable) -> bool:
-        return node in self._members
-
-    def add(self, node: Hashable) -> None:
-        """Join ``node``: it steals ≈1/(N+1) of the keys, nothing else moves."""
-        if node in self._members:
-            raise ValueError(f"node {node!r} is already on the ring")
-        self._members.add(node)
-        for replica in range(self.replicas):
-            point = self._hash(f"{node}#{replica}")
-            entry = (point, str(node), node)
-            index = bisect.bisect(self._entries, entry)
-            self._entries.insert(index, entry)
-            self._points.insert(index, point)
-
-    def remove(self, node: Hashable) -> None:
-        """Leave ``node``: only the keys it owned remap (to the survivors)."""
-        if node not in self._members:
-            raise KeyError(f"node {node!r} is not on the ring")
-        self._members.discard(node)
-        kept = [entry for entry in self._entries if entry[2] != node]
-        self._entries = kept
-        self._points = [entry[0] for entry in kept]
 
     # -------------------------------------------------------------- lookups
     def node_for(self, key: str) -> Hashable:
@@ -128,9 +98,8 @@ class HashRing:
 def shared_ring(nodes: Tuple[Hashable, ...]) -> HashRing:
     """The :class:`HashRing` over ``nodes``, built once per membership.
 
-    Every caller with the same membership gets the same ring object, so
-    callers must never ``add`` to or ``remove`` from it.  The ring's point
-    order does not depend on the order of ``nodes``; pass them sorted so
-    that one membership has one memo entry.
+    Every caller with the same membership gets the same ring object.  The
+    ring's point order does not depend on the order of ``nodes``; pass them
+    sorted so that one membership has one memo entry.
     """
     return HashRing(nodes)

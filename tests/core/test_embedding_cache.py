@@ -1,11 +1,11 @@
-"""LRU eviction: the tuner's embedding cache, its cast models, and the
+"""LRU eviction: the tuner's embedding cache, its compiled programs, and the
 builder's bounded state of never-seen regions.
 
 The tuner holds two weight-derived caches: the pooled-embedding LRU (keyed
-by region id, content fingerprint and dtype) and the lazily built
-dtype-cast models (``_cast_models``).  They have different lifecycles —
-evicting an embedding must never invalidate a cast model (which would force
-a full weight re-cast on the next sweep), while a weight change
+by region id, content fingerprint and dtype) and the compiled programs, one
+per serving dtype (``_programs``).  They have different lifecycles —
+evicting an embedding must never invalidate a program (which would force a
+full weight re-cast and lowering on the next sweep), while a weight change
 (``fit``/``load_state_dict``) must clear both.
 
 Serving memory is bounded by the working set: the builder keeps at most
@@ -53,8 +53,18 @@ def tuner(small_database, small_builder):
     return tuner
 
 
-class TestEvictionCastModelInterplay:
-    def test_evicting_float64_embedding_keeps_float32_cast_model(
+def _program_arrays(program):
+    """The weight arrays a compiled program serves, in lowering order."""
+    return [
+        getattr(step, name)
+        for step in program.encoder_steps + program.head.steps
+        for name in ("table", "weight", "root", "bias")
+        if getattr(step, name, None) is not None
+    ]
+
+
+class TestEvictionProgramInterplay:
+    def test_evicting_float64_embedding_keeps_float32_program(
         self, tuner, small_regions_by_app
     ):
         # Tiny cache so real queries drive evictions.
@@ -62,33 +72,35 @@ class TestEvictionCastModelInterplay:
         regions = small_regions_by_app["gemm"] + small_regions_by_app["atax"]
         first = regions[0]
         tuner.predict_sweep(first, CAPS, dtype="float32")
-        cast = tuner._cast_models["float32"]
+        program = tuner._programs["float32"]
         # Fill the cache with other (float64) regions until the float32
         # embedding of `first` has been evicted.
         for region in regions[:3]:
             tuner.predict_sweep(region, CAPS)
         assert (first.region_id, first.fingerprint(), "float32") not in tuner._embedding_cache
-        # The cast model must survive the eviction and be reused as-is.
-        assert tuner._cast_models["float32"] is cast
+        # The float32 program must survive the eviction and be reused as-is.
+        assert tuner._programs["float32"] is program
         swept = tuner.predict_sweep(first, CAPS, dtype="float32")
-        assert tuner._cast_models["float32"] is cast
+        assert tuner._programs["float32"] is program
         assert [r.power_cap for r in swept] == CAPS
 
-    def test_eviction_only_reencodes_it_does_not_recast(self, tuner, small_regions_by_app):
+    def test_eviction_only_reencodes_it_does_not_recompile(
+        self, tuner, small_regions_by_app
+    ):
         tuner._embedding_cache = LRUCache(maxsize=1)
         region_a = small_regions_by_app["gemm"][0]
         region_b = small_regions_by_app["atax"][0]
         tuner.predict_sweep(region_a, CAPS, dtype="float32")
-        cast = tuner._cast_models["float32"]
-        state_before = {k: v.copy() for k, v in cast.state_dict().items()}
+        program = tuner._programs["float32"]
+        values_before = [array.copy() for array in _program_arrays(program)]
         # Alternate regions through a 1-entry cache: every query evicts the
         # other's embedding, but the cast weights never change.
         for _ in range(2):
             tuner.predict_sweep(region_b, CAPS, dtype="float32")
             tuner.predict_sweep(region_a, CAPS, dtype="float32")
-        assert tuner._cast_models["float32"] is cast
-        for name, value in cast.state_dict().items():
-            assert (value == state_before[name]).all()
+        assert tuner._programs["float32"] is program
+        for array, value in zip(_program_arrays(program), values_before):
+            assert (array == value).all()
 
     def test_evicted_embedding_is_recomputed_identically(self, tuner, small_regions_by_app):
         tuner._embedding_cache = LRUCache(maxsize=1)
@@ -102,33 +114,33 @@ class TestEvictionCastModelInterplay:
         tuner.predict_sweep(region_a, CAPS)
         assert (tuner._embedding_cache.get(key) == first).all()
 
-    def test_load_state_dict_clears_embeddings_and_cast_models(
+    def test_load_state_dict_clears_embeddings_and_programs(
         self, tuner, small_regions_by_app
     ):
         region = small_regions_by_app["gemm"][0]
         tuner.predict_sweep(region, CAPS)
         tuner.predict_sweep(region, CAPS, dtype="float32")
         assert len(tuner._embedding_cache) == 2
-        assert "float32" in tuner._cast_models
-        stale_cast = tuner._cast_models["float32"]
+        assert set(tuner._programs) == {"float64", "float32"}
+        stale = tuner._programs["float32"]
         tuner.load_state_dict(tuner.state_dict())
         assert len(tuner._embedding_cache) == 0
-        assert tuner._cast_models == {}
-        # The next float32 sweep builds a fresh cast from the new weights.
+        assert tuner._programs == {}
+        # The next float32 sweep compiles a fresh cast from the new weights.
         tuner.predict_sweep(region, CAPS, dtype="float32")
-        assert tuner._cast_models["float32"] is not stale_cast
+        assert tuner._programs["float32"] is not stale
         regions = small_regions_by_app["gemm"] + small_regions_by_app["atax"]
         fresh = tuner.predict_sweep_many(regions, CAPS)
         assert fresh == [tuner.predict_sweep(r, CAPS) for r in regions]
 
-    def test_fit_clears_embeddings_and_cast_models(self, tuner, small_regions_by_app):
+    def test_fit_clears_embeddings_and_programs(self, tuner, small_regions_by_app):
         region = small_regions_by_app["gemm"][0]
         samples = tuner.build_training_samples()
         tuner.predict_sweep(region, CAPS, dtype="float32")
-        assert len(tuner._embedding_cache) >= 1 and "float32" in tuner._cast_models
+        assert len(tuner._embedding_cache) >= 1 and "float32" in tuner._programs
         tuner.fit(samples)
         assert len(tuner._embedding_cache) == 0
-        assert tuner._cast_models == {}
+        assert tuner._programs == {}
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ Covers the engine's inference contract:
 """
 
 import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.distill.generate import teacher_embeddings
 from repro.nn import _scatter
 from repro.nn.data import GraphDataLoader, collate_graphs
 from repro.nn.inference import InferenceProgram
+from repro.nn.layers import Module
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +50,32 @@ def fitted_time_tuner(small_database, small_builder, small_regions_by_app):
 @pytest.fixture(scope="module")
 def perf_samples(small_builder):
     return small_builder.performance_samples()
+
+
+def _tuner_loaded_with(tuner, state, dtype=None):
+    """A fresh tuner on ``tuner``'s data, serving ``state`` at ``dtype``."""
+    twin = PnPTuner(
+        system="haswell",
+        objective=tuner.objective,
+        model_config=tuner.model_config,
+        training_config=tuner.training_config,
+        database=tuner.database,
+        seed=0,
+        dtype=dtype,
+    )
+    twin.builder = tuner.builder
+    twin.load_state_dict(state)
+    return twin
+
+
+def _program_arrays(program):
+    """The weight arrays a compiled program serves, in lowering order."""
+    return [
+        getattr(step, name)
+        for step in program.encoder_steps + program.head.steps
+        for name in ("table", "weight", "root", "bias")
+        if getattr(step, name, None) is not None
+    ]
 
 
 class TestEncodeHeadSplit:
@@ -222,13 +250,16 @@ class TestInferenceProgramRouting:
         stale = fitted_time_tuner._programs["float64"]
         assert len(fitted_time_tuner._embedding_cache) > 0
         # A reload that bypasses the tuner must flush every weights-derived
-        # cache on the next query: embeddings, cast models and programs —
-        # not just recompile the program (a cached embedding computed with
-        # the old encoder must never feed the new head).
+        # cache on the next query: embeddings and the programs of every
+        # dtype — not just recompile the program queried (a cached embedding
+        # computed with the old encoder must never feed the new head).
         fitted_time_tuner.model.load_state_dict(fitted_time_tuner.model.state_dict())
         again = fitted_time_tuner.predict_sweep(region, [40.0, 60.0])
         assert fitted_time_tuner._programs["float64"] is not stale
-        assert "float32" not in fitted_time_tuner._cast_models
+        assert "float32" not in fitted_time_tuner._programs
+        assert list(fitted_time_tuner._embedding_cache._entries) == [
+            (region.region_id, region.fingerprint(), "float64")
+        ]
         assert [r.label for r in again] == [r.label for r in swept]
         fitted_time_tuner._embedding_cache.clear()
 
@@ -287,22 +318,50 @@ class TestInferenceProgramRouting:
         # Restore the session-scoped builder/database registration.
         tuner.builder.inference_sample(region, power_cap=60.0)
 
-    def test_training_marks_program_stale(self, small_database, small_builder):
-        config = ModelConfig(
-            vocabulary_size=len(small_builder.vocabulary),
-            num_classes=small_database.search_space.num_omp_configurations,
-            aux_dim=1,
-            seed=4,
-        )
-        model = PnPModel(config)
-        program = model.compile_inference()
-        assert not program.stale()
-        train_model(
-            model, small_builder.performance_samples()[:16], TrainingConfig(epochs=1, seed=4)
-        )
-        # The optimizer rebound every parameter array: the pre-training
-        # program must report stale so caches recompile.
-        assert program.stale()
+    @pytest.mark.parametrize("rebind", ["load_state_dict", "astype", "train_model"])
+    def test_rebound_weights_recompile_the_program(
+        self, fitted_time_tuner, small_builder, small_regions_by_app, rebind
+    ):
+        # A private tuner: the rebinding must not reach the shared fixture.
+        tuner = _tuner_loaded_with(fitted_time_tuner, fitted_time_tuner.state_dict())
+        regions = small_regions_by_app["gemm"] + small_regions_by_app["atax"]
+        caps = [40.0, 60.0, 85.0]
+        tuner.predict_sweep_many(regions, caps)
+        program = tuner.compile_inference()
+        model = tuner.model
+        if rebind == "load_state_dict":
+            model.load_state_dict(PnPModel(replace(model.config, seed=1)).state_dict())
+        elif rebind == "astype":
+            model.astype("float32")
+        else:
+            samples = small_builder.performance_samples()[:16]
+            train_model(model, samples, TrainingConfig(epochs=1, seed=4))
+        # Every path rebinds the parameter arrays behind the tuner's back;
+        # its one staleness check compiles a new program on the next query...
+        served = tuner.predict_sweep_many(regions, caps)
+        assert tuner.compile_inference() is not program
+        # ...which answers like a tuner loaded with the new weights.
+        reference = _tuner_loaded_with(tuner, model.state_dict(), dtype=model.dtype.name)
+        expected = reference.predict_sweep_many(regions, caps)
+        assert pickle.dumps(served) == pickle.dumps(expected)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_warm_sweep_walks_the_parameters_once(
+        self, fitted_time_tuner, small_regions_by_app, monkeypatch, dtype
+    ):
+        region = small_regions_by_app["gemm"][0]
+        fitted_time_tuner.predict_sweep(region, [40.0, 60.0], dtype=dtype)
+        walked = []
+        original = Module.parameters
+
+        def counting(module):
+            walked.append(module)
+            return original(module)
+
+        monkeypatch.setattr(Module, "parameters", counting)
+        fitted_time_tuner.predict_sweep(region, [40.0, 60.0], dtype=dtype)
+        # The tuner's identity check is the only walk of a warm call.
+        assert walked == [fitted_time_tuner.model]
 
     def test_counters_predict_rebuilds_sample_on_warm_cache(
         self, small_database, small_builder
@@ -526,17 +585,20 @@ class TestPrecisionKnobs:
         swept64 = fitted_time_tuner.predict_sweep(region, caps)
         swept32 = fitted_time_tuner.predict_sweep(region, caps, dtype="float32")
         assert [r.power_cap for r in swept32] == caps
-        # The cast model serves at float32 end to end...
-        cast = fitted_time_tuner._cast_models["float32"]
-        assert cast.dtype == np.float32
+        # The float32 program serves at float32 end to end...
+        program32 = fitted_time_tuner._programs["float32"]
+        assert program32.dtype == np.float32
         cached = fitted_time_tuner._embedding_cache.get(
             (region.region_id, region.fingerprint(), "float32")
         )
         assert cached is not None and cached.dtype == np.float32
-        # ...from weights that are exact rounded twins of the fitted model's.
-        state64 = fitted_time_tuner.model.state_dict()
-        for name, value in cast.state_dict().items():
-            assert np.array_equal(value, state64[name].astype(np.float32))
+        # ...from arrays that are the fitted float64 weights rounded once.
+        weights = [param.data for param in fitted_time_tuner.model.parameters()]
+        arrays32 = _program_arrays(program32)
+        assert len(arrays32) == len(weights)
+        for array, weight in zip(arrays32, weights):
+            assert array.dtype == np.float32
+            assert array.tobytes() == weight.astype(np.float32).tobytes()
         # Label disagreements can only come from near-ties; logits must agree.
         pooled64 = fitted_time_tuner._embedding_cache.get(
             (region.region_id, region.fingerprint(), "float64")
@@ -547,7 +609,7 @@ class TestPrecisionKnobs:
         labels_agree = [a.label == b.label for a, b in zip(swept64, swept32)]
         assert sum(labels_agree) >= len(caps) - 1
 
-    def test_cast_model_reused_and_invalidated(
+    def test_float32_program_reused_and_invalidated(
         self, small_database, small_builder, small_regions_by_app
     ):
         tuner = PnPTuner(
@@ -563,11 +625,11 @@ class TestPrecisionKnobs:
         tuner.fit(samples)
         region = small_regions_by_app["gemm"][0]
         tuner.predict_sweep(region, [40.0, 60.0], dtype="float32")
-        first_cast = tuner._cast_models["float32"]
+        first = tuner._programs["float32"]
         tuner.predict_sweep(region, [45.0], dtype="float32")
-        assert tuner._cast_models["float32"] is first_cast
+        assert tuner._programs["float32"] is first
         tuner.fit(samples)
-        assert tuner._cast_models == {}
+        assert tuner._programs == {}
 
     def test_tuner_dtype_argument_builds_float32_model(self, small_database, small_builder):
         tuner = PnPTuner(
@@ -582,10 +644,19 @@ class TestPrecisionKnobs:
         assert tuner.model.dtype == np.float32
         assert tuner.model_config.dtype == "float32"
 
-    def test_sweep_with_model_dtype_skips_cast(self, fitted_time_tuner, small_regions_by_app):
+    def test_sweep_at_model_dtype_serves_the_model_program(
+        self, fitted_time_tuner, small_regions_by_app
+    ):
         region = small_regions_by_app["atax"][0]
         fitted_time_tuner.predict_sweep(region, [40.0], dtype="float64")
-        assert "float64" not in fitted_time_tuner._cast_models
+        program = fitted_time_tuner._programs["float64"]
+        # One program for the model's dtype, however it is spelled, and it
+        # serves the model's arrays uncast.
+        assert fitted_time_tuner.compile_inference() is program
+        weights = [param.data for param in fitted_time_tuner.model.parameters()]
+        arrays = _program_arrays(program)
+        assert len(arrays) == len(weights)
+        assert all(array is weight for array, weight in zip(arrays, weights))
 
 
 class TestInferenceBufferAccounting:

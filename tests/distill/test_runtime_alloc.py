@@ -1,4 +1,5 @@
-"""The micro tier's warm path: zero numpy allocations, shared cache accounting.
+"""The micro tier's warm path: zero numpy allocations, shared cache accounting,
+and answers that follow the host tuner's current weights.
 
 Same probes the GNN zero-alloc suite uses (``tests/nn/test_zero_alloc_inference``):
 the tracemalloc *peak* over one warm predict stays under a small ceiling
@@ -6,7 +7,9 @@ the tracemalloc *peak* over one warm predict stays under a small ceiling
 numpy-data-domain snapshot diff across many warm predicts retains **zero**
 array blocks.  On top of that, the runtime's buffers must be visible to —
 and shed by — the host tuner's cache controls, so a serving node's
-``"clear"`` covers both tiers.
+``"clear"`` covers both tiers.  And the head the runtime scores with is the
+tuner's current one: weights rebound on ``tuner.model`` reach the very next
+micro answer.
 """
 
 import tracemalloc
@@ -14,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.tuner import PnPTuner
 from repro.distill.runtime import MicroRuntime
 from repro.serve.predictor import tiered_predictor
 
@@ -133,3 +137,36 @@ class TestCacheAccounting:
         assert tiered.predict(region, CAPS[0]) == tiered.micro.predict_sweep(
             region, [CAPS[0]]
         )[0]
+
+
+class TestWeightRebinding:
+    @pytest.mark.parametrize("dtype", [None, "float32"])
+    def test_answers_follow_weights_rebound_on_the_model(
+        self, teacher_tuner, distilled_model, region, dtype
+    ):
+        # A private copy of the teacher: the rebinding must not reach the
+        # session fixture.
+        tuner = PnPTuner(
+            system="haswell",
+            objective="time",
+            model_config=teacher_tuner.model_config,
+            training_config=teacher_tuner.training_config,
+            database=teacher_tuner.database,
+            seed=0,
+        )
+        tuner.builder = teacher_tuner.builder
+        tuner.load_state_dict(teacher_tuner.state_dict())
+        runtime = MicroRuntime(distilled_model, tuner)
+        assert runtime.trusted(region)
+        before = runtime.predict_sweep(region, CAPS, dtype=dtype)
+        # Rebind the head behind the tuner's back.  Rolling the last layer's
+        # columns by one moves every label up by one.
+        last = f"head.layers.item{len(tuner.model.head.layers) - 1}"
+        state = tuner.model.state_dict()
+        state[f"{last}.weight"] = np.roll(state[f"{last}.weight"], 1, axis=1)
+        state[f"{last}.bias"] = np.roll(state[f"{last}.bias"], 1)
+        tuner.model.load_state_dict(state)
+        after = runtime.predict_sweep(region, CAPS, dtype=dtype)
+        fresh = MicroRuntime(distilled_model, tuner)
+        assert after == fresh.predict_sweep(region, CAPS, dtype=dtype)
+        assert [r.label for r in after] != [r.label for r in before]

@@ -6,11 +6,14 @@ to a flat raw-ndarray program whose outputs are **bit-identical** to the
 ``Module`` under :func:`~repro.nn._scatter.reference_kernels` (the program
 scatters in index order like ``np.add.at``; the default ``Module``'s
 bincount sums float32 through float64) — for every benchsuite region shape
-and for batched and single-graph inputs, while reusing per-plan buffers
-safely across interleaved batch sizes and detecting stale weights.
+and for batched and single-graph inputs.  ``compile_inference("float32")``
+on a float64 model equals the program of a float32 copy of that model,
+per-plan buffers are reused safely across interleaved batch sizes, and a
+recompiled program follows new weights.
 """
 
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +119,26 @@ class TestBitIdenticalToModule:
         with no_grad():
             module_logits = model.head(Tensor(rows, dtype=model.dtype), aux).data
         assert module_logits.tobytes() == program.head_logits(rows, aux).tobytes()
+
+    def test_float32_program_of_float64_model_equals_float32_twins(
+        self, vocabulary, suite_samples
+    ):
+        model = _model(vocabulary, "float64")
+        # The reference: a model built at float32 and loaded with the float64
+        # weights (Module.load_state_dict rounds each one once).
+        cast = PnPModel(replace(model.config, dtype="float32"))
+        cast.load_state_dict(model.state_dict())
+        program = model.compile_inference("float32")
+        reference = cast.compile_inference()
+        assert program.dtype == np.float32
+        for sample in suite_samples:
+            batch = collate_graphs([sample])
+            pooled = program.encode_pooled(batch)
+            expected = reference.encode_pooled(batch)
+            assert pooled.tobytes() == expected.tobytes(), sample.region_id
+            logits = program.head_logits(pooled, batch.aux_features).tobytes()
+            expected_logits = reference.head_logits(expected, batch.aux_features)
+            assert logits == expected_logits.tobytes(), sample.region_id
 
 
 class TestBufferReuse:
@@ -224,21 +247,10 @@ class TestProgramStructure:
 
 
 class TestStaleness:
-    def test_load_state_dict_marks_program_stale(self, vocabulary):
-        model = _model(vocabulary, "float64")
-        program = model.compile_inference()
-        assert not program.stale()
-        twin = _model(vocabulary, "float64", seed=1)
-        model.load_state_dict(twin.state_dict())
-        assert program.stale()
-        fresh = model.compile_inference()
-        assert not fresh.stale()
-
-    def test_astype_marks_program_stale(self, vocabulary):
-        model = _model(vocabulary, "float64")
-        program = model.compile_inference()
-        model.astype("float32")
-        assert program.stale()
+    """A program keeps the arrays it was compiled from; a recompile follows
+    new weights.  (The tuner's one staleness check, which recompiles for
+    every way of rebinding the weights, is tested in
+    ``tests/core/test_engine_inference.py``.)"""
 
     def test_recompiled_program_follows_new_weights(self, vocabulary, suite_samples):
         model = _model(vocabulary, "float64")

@@ -77,8 +77,9 @@ class FakeClient:
     hedged duplicate is indistinguishable from the primary answer.  Like the
     real client's ``sweep_node``, a failure other than
     :exc:`~repro.serve.rpc.RemoteError` takes the node out of
-    ``serving_nodes()``, and a node answers an unsupported dtype with a
-    ``RemoteError``.
+    ``serving_nodes()``, a node slower than the call's ``timeout`` costs the
+    caller that budget and then an :exc:`~repro.serve.rpc.RpcTimeout`, and a
+    node answers an unsupported dtype with a ``RemoteError``.
     """
 
     def __init__(self, num_nodes=2, fallback_tuner=None):
@@ -94,6 +95,10 @@ class FakeClient:
     def sweep_node(self, index, regions, power_caps, dtype=None, timeout=None):
         node = self.nodes[index]
         node.calls.append(([r.region_id for r in regions], tuple(power_caps), dtype))
+        if timeout is not None and node.latency > timeout:
+            time.sleep(timeout)
+            self.dead.add(index)
+            raise rpc.RpcTimeout(f"node {index} did not answer within {timeout} s")
         if node.latency:
             time.sleep(node.latency)
         if dtype not in (None, "float32", "float64"):
@@ -266,7 +271,11 @@ class TestDeadlines:
                     await gateway.predict_sweep(FakeRegion("a"), CAPS, deadline=0.2)
                 assert time.monotonic() - started < 2.0
 
+        # The whole scenario, gateway close and executor shutdown included:
+        # the node call gives up at its budget instead of sleeping 5 s.
+        started = time.monotonic()
         run(scenario())
+        assert time.monotonic() - started < 2.0
 
 
 # ------------------------------------------------------------------ shedding

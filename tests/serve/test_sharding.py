@@ -20,25 +20,6 @@ def _benchsuite_region_ids():
 
 
 class TestHashRingMembership:
-    def test_nodes_sorted_len_contains(self):
-        ring = HashRing([2, 0, 1])
-        assert ring.nodes == [0, 1, 2]
-        assert len(ring) == 3
-        assert 1 in ring and 7 not in ring
-
-    def test_add_duplicate_rejected(self):
-        ring = HashRing([0])
-        with pytest.raises(ValueError, match="already"):
-            ring.add(0)
-
-    def test_remove_absent_rejected(self):
-        with pytest.raises(KeyError):
-            HashRing([0]).remove(3)
-
-    def test_replicas_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HashRing(replicas=0)
-
     def test_empty_ring_lookup_fails(self):
         with pytest.raises(LookupError):
             HashRing().node_for("gemm/kernel.0")
@@ -82,7 +63,8 @@ class TestHashRingDeterminism:
 
 
 class TestHashRingRemap:
-    """Membership churn moves only ~1/N of the benchsuite's 68 regions."""
+    """The rings of two memberships that differ by one node route only
+    ~1/N of the benchsuite's 68 regions differently."""
 
     EPSILON = 0.15  # 68 keys x 64 virtual nodes leaves real sampling variance
 
@@ -90,9 +72,7 @@ class TestHashRingRemap:
     def test_join_steals_about_one_fraction(self, num_nodes):
         ids = _benchsuite_region_ids()
         before = HashRing(range(num_nodes)).assignments(ids)
-        grown = HashRing(range(num_nodes))
-        grown.add(num_nodes)
-        after = grown.assignments(ids)
+        after = HashRing(range(num_nodes + 1)).assignments(ids)
         moved = sum(a != b for a, b in zip(before, after))
         assert moved / len(ids) <= 1 / (num_nodes + 1) + self.EPSILON
         # Everything that moved went to the new node — survivors never trade.
@@ -101,11 +81,8 @@ class TestHashRingRemap:
     @pytest.mark.parametrize("num_nodes", [2, 3, 4])
     def test_leave_moves_only_the_lost_nodes_keys(self, num_nodes):
         ids = _benchsuite_region_ids()
-        full = HashRing(range(num_nodes))
-        before = full.assignments(ids)
-        shrunk = HashRing(range(num_nodes))
-        shrunk.remove(0)
-        after = shrunk.assignments(ids)
+        before = HashRing(range(num_nodes)).assignments(ids)
+        after = HashRing(range(1, num_nodes)).assignments(ids)
         for previous, now in zip(before, after):
             if previous != 0:
                 assert now == previous  # survivors keep every key (warm caches)
@@ -115,11 +92,10 @@ class TestHashRingRemap:
 
     def test_rejoin_restores_the_original_assignment(self):
         ids = _benchsuite_region_ids()
-        ring = HashRing(range(3))
-        before = ring.assignments(ids)
-        ring.remove(1)
-        ring.add(1)
-        assert ring.assignments(ids) == before
+        before = shared_ring((0, 1, 2)).assignments(ids)
+        assert shared_ring((0, 2)).assignments(ids) != before
+        # Rejoining restores the membership, so every key routes as before.
+        assert shared_ring((0, 1, 2)).assignments(ids) == before
 
 
 class TestHashRingPositions:
@@ -139,7 +115,7 @@ class TestHashRingPositions:
             assert all(assignments[p] == node for p in members)
 
     def test_every_node_gets_work_on_the_benchsuite(self):
-        """replicas=64 keeps the 68-region suite spread over small fleets."""
+        """64 points per node keep the 68-region suite spread over small fleets."""
         ids = _benchsuite_region_ids()
         for num_nodes in (2, 3, 4):
             groups = HashRing(range(num_nodes)).positions(ids)
