@@ -43,17 +43,20 @@ coverage:
 bench-smoke:
 	$(PYTHON) -m benchmarks.floors
 
-# End-to-end smokes (CI `perf` job), two workloads of the benchmark
+# End-to-end smokes (CI `perf` job), three workloads of the benchmark
 # (benchmarks/perf).  tune_suite_cv is the paper's experiment: it builds the
 # 68-region measurement database, runs the 3-fold cross-validated PnP
 # selections and evaluates them (one timed repetition); it exits 1 when CV
 # repetitions disagree or a fresh re-run of the first fold changes its
 # selections.  serve_novel drives gateway -> TCP fleet -> TieredPredictor ->
-# tuner with never-seen regions (about 14 s of set-up) and exits 1 when any
-# served answer differs from the in-process predictor's.
+# tuner with never-seen regions (about 14 s of set-up) and serve_warm drives
+# the same front door with cached suite regions at its highest request rate
+# (the gateway's idle dispatch and batching behind busy nodes); each exits 1
+# when any served answer differs from the in-process reference.
 perf-smoke:
 	$(PYTHON) -m benchmarks.perf --workload tune_suite_cv --seed 0 --seconds 1
 	$(PYTHON) -m benchmarks.perf --workload serve_novel --seed 0 --seconds 1
+	$(PYTHON) -m benchmarks.perf --workload serve_warm --seed 0 --seconds 1
 
 # The examples (CI `perf` job), each trained for 2 epochs, about 20 s in all:
 # quickstart.py (time objective), edp_tuning.py (the EDP predict path) and

@@ -24,10 +24,11 @@ at a time — asserting byte-identity after every step.
 
 It then opens the **asyncio Gateway** — the request-shaped front door
 (admit -> coalesce -> dispatch -> hedge -> degrade): a burst of concurrent
-single-region requests is coalesced within a ~5 ms window into one batched
-sweep per fleet node and answered byte-identically to the serial path, and
-after the whole fleet is killed the gateway keeps answering from its
-rate-limited in-process fallback.
+single-region requests is coalesced into one batched sweep per fleet node
+(a request to an idle node goes at once; requests behind a busy node wait
+for its call to return, at most 5 ms) and answered byte-identically to the
+serial path, and after the whole fleet is killed the gateway keeps
+answering from its rate-limited in-process fallback.
 
 Finally it distils the GNN into the **micro tier** (``repro.distill``):
 one tiny dense model per pattern family, served allocation-free behind the
@@ -180,8 +181,9 @@ def main() -> None:
 
     # ---------------------------------------------- gateway request path
     # The request-shaped front door: independent single-region requests are
-    # admitted into a bounded queue, coalesced for a ~5 ms window into one
-    # batched sweep per fleet node, hedged/retried around slow or dead
+    # admitted into a bounded queue, coalesced into one batched sweep per
+    # fleet node (at once on an idle node; behind a busy one until its call
+    # returns, at most the 5 ms window), hedged/retried around slow or dead
     # nodes, and — when the whole fleet is gone — answered by a
     # rate-limited in-process fallback instead of failing.
     print("\nGateway (admit -> coalesce -> dispatch -> hedge -> degrade):")
@@ -261,11 +263,16 @@ def main() -> None:
         tuner._embedding_cache.clear()
         gnn_answer = tuner.predict(region, caps[0])
     gnn_s = (time.perf_counter() - start) / gnn_reps
+    if micro_answer.config == gnn_answer.config:
+        picks = f"both pick {micro_answer.config.label()}"
+    else:
+        picks = (
+            f"micro picks {micro_answer.config.label()}, "
+            f"GNN picks {gnn_answer.config.label()}"
+        )
     print(
         f"  warm micro predict: {micro_s * 1e6:.0f} us vs novel-region GNN "
-        f"{gnn_s * 1e6:.0f} us ({gnn_s / micro_s:.1f}x); both pick "
-        f"{micro_answer.config.label()} @ {caps[0]:.0f}W"
-        + ("" if micro_answer.config == gnn_answer.config else " (differs!)")
+        f"{gnn_s * 1e6:.0f} us ({gnn_s / micro_s:.1f}x); {picks} @ {caps[0]:.0f}W"
     )
 
     # Out-of-family inputs fail the trust gate and take the GNN fallback.

@@ -26,15 +26,16 @@ The serving stack has two layers:
 Above both sits the request-shaped front door:
 
 * **coalesce single requests into batches** — the asyncio :class:`Gateway`
-  admits independent single-region predict requests, coalesces them within
-  a ~5 ms deadline window into one batched sweep per node, and hardens the
-  path against overload: bounded-queue admission control
-  (:exc:`GatewayOverloaded`), end-to-end per-request deadlines
-  (:exc:`DeadlineExceeded`, backed by :func:`repro.serve.rpc.request`'s
-  per-call socket deadline and :exc:`~repro.serve.rpc.RpcTimeout`), hedged
-  retries over the nodes the fleet client reports serving (node health is
-  the client's alone), and a rate-limited in-process fallback when the
-  whole fleet is down.
+  admits independent single-region predict requests and sends them as one
+  batched sweep per node: at once when their node is idle, and otherwise
+  when one of the node calls in flight returns, never later than a ~5 ms
+  window cap.  It hardens the path against overload: bounded-queue
+  admission control (:exc:`GatewayOverloaded`), end-to-end per-request
+  deadlines (:exc:`DeadlineExceeded`, backed by
+  :func:`repro.serve.rpc.request`'s per-call socket deadline and
+  :exc:`~repro.serve.rpc.RpcTimeout`), hedged retries over the nodes the
+  fleet client reports serving (node health is the client's alone), and a
+  rate-limited in-process fallback when the whole fleet is down.
 
 Every layer is byte-identical to the serial per-region
 ``PnPTuner.predict_sweep`` path (asserted by ``tests/serve``) through kills,

@@ -351,7 +351,9 @@ class ChaosProxy:
     accepted connection to ``upstream``.  Deterministic given the plan and
     the traffic: connection indices follow accept order, frame indices
     count frames per connection per direction, and every fault application
-    is counted in :meth:`stats`.
+    is counted in :meth:`stats`.  Both legs of a proxied connection set
+    ``TCP_NODELAY`` (:func:`~repro.serve.rpc.no_delay`), as every serving
+    socket does, so the proxy adds no Nagle stall of its own.
 
     ``retarget`` repoints future connections at a new upstream (what
     :meth:`~repro.serve.fleet.LocalFleet.restart_node` uses, so the proxy
@@ -458,7 +460,8 @@ class ChaosProxy:
                 self._next_connection += 1
                 upstream_address = self._upstream
             try:
-                upstream = socket.create_connection(upstream_address, timeout=10.0)
+                rpc.no_delay(client)
+                upstream = rpc.connect(upstream_address, timeout=10.0, attempts=1)
                 upstream.settimeout(None)
             except OSError:
                 self._close_quietly(client)

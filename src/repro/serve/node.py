@@ -105,6 +105,7 @@ class NodeServer:
                 connection, _ = self._sock.accept()
             except OSError:
                 break  # listening socket closed by shutdown()
+            rpc.no_delay(connection)
             thread = threading.Thread(
                 target=self._serve_connection, args=(connection,), daemon=True
             )

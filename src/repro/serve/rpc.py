@@ -32,6 +32,14 @@ The protocol on top is a small request/reply verb scheme (``register`` /
 formatted node-side traceback; :func:`request` sends one message, waits for
 the reply and raises :class:`RemoteError` exposing both on an error reply.
 
+Every serving socket sets ``TCP_NODELAY`` (:func:`no_delay`: the sockets
+:func:`connect` returns, the connections a node accepts, both legs of the
+chaos proxy), and :func:`send_message` writes a frame whose payload is
+below :data:`ONE_WRITE_BYTES` with one ``sendall``.  Without both, Nagle's
+algorithm (RFC 896) holds the second write of a frame until the peer's
+delayed ACK, about 40 ms on Linux, and every request/reply round trip pays
+that stall.
+
 Protocol v1 (a bare 8-byte big-endian length prefix with no verification)
 is not spoken: a frame without the magic is corruption, so no unverified
 byte ever reaches ``pickle.loads``.
@@ -81,6 +89,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "connect",
     "error_frame",
+    "no_delay",
     "send_message",
     "recv_message",
     "request",
@@ -105,6 +114,11 @@ _EXTENT = struct.Struct(">Q16s")
 
 #: Total v2 header size (documented in the module docstring diagram).
 HEADER_BYTES = _PREAMBLE.size + _EXTENT.size
+
+#: A frame whose payload is shorter than this goes out as one ``sendall`` of
+#: header plus payload; a longer one (a weights blob at registration) sends
+#: its payload from a ``memoryview``, so the payload is never copied.
+ONE_WRITE_BYTES = 1 << 16
 
 #: Upper bound on a single message (1 GiB) — a corrupt or misaligned stream
 #: fails fast instead of attempting an absurd allocation.
@@ -178,6 +192,17 @@ def error_frame(error: BaseException) -> Dict[str, str]:
     }
 
 
+def no_delay(sock: socket.socket) -> socket.socket:
+    """Turn off Nagle's algorithm on a TCP socket and return it.
+
+    A request/reply protocol whose frames are small never benefits from
+    Nagle's coalescing: it only holds a frame's tail until the peer's
+    delayed ACK.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 def connect(
     address: Tuple[str, int],
     timeout: Optional[float] = None,
@@ -192,13 +217,15 @@ def connect(
     from being misclassified as a configuration error during registration.
     Delays double from ``base_delay`` up to ``max_delay`` with ±50 % jitter
     so a whole fleet reconnecting does not stampede one node.  After
-    ``attempts`` failures the last error propagates unchanged.
+    ``attempts`` failures the last error propagates unchanged.  The socket
+    comes back with ``TCP_NODELAY`` set (:func:`no_delay`).
     """
     attempts = max(1, int(attempts))
     delay = base_delay
     for attempt in range(attempts):
         try:
-            return socket.create_connection(tuple(address), timeout=timeout)
+            sock = socket.create_connection(tuple(address), timeout=timeout)
+            return no_delay(sock)
         except _TRANSIENT_CONNECT_ERRORS:
             if attempt == attempts - 1:
                 raise
@@ -214,17 +241,23 @@ def _digest(data: bytes) -> bytes:
 def send_message(sock: socket.socket, payload: Any) -> None:
     """Pickle ``payload`` and send it as one verified frame (blocking).
 
-    Header and payload go out as two ``sendall`` calls over a
-    ``memoryview`` — the payload (which can be a ~1 GiB weights blob at
-    registration) is never copied into a concatenated buffer.
+    A payload shorter than :data:`ONE_WRITE_BYTES` (a sweep request or
+    reply of a few regions) goes out with its header in one ``sendall``,
+    so on a no-delay socket the frame leaves at once.  A longer one sends the
+    header, then the payload through a ``memoryview``: the payload (which
+    can be a ~1 GiB weights blob at registration) is never copied into a
+    concatenated buffer.
     """
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = _PREAMBLE.pack(_MAGIC, PROTOCOL_VERSION, 0, 0) + _EXTENT.pack(
         len(data), _digest(data)
     )
     try:
-        sock.sendall(header)
-        sock.sendall(memoryview(data))
+        if len(data) < ONE_WRITE_BYTES:
+            sock.sendall(header + data)
+        else:
+            sock.sendall(header)
+            sock.sendall(memoryview(data))
     except TimeoutError:
         raise  # slow peer, not a dead one — see _recv_exact
     except (BrokenPipeError, ConnectionResetError, OSError) as error:

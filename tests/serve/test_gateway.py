@@ -138,6 +138,15 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+async def occupy(gateway, client, latency=0.3):
+    """Put one call in flight on a one-node client; return its request task."""
+    client.nodes[0].latency = latency
+    busy = asyncio.ensure_future(gateway.predict_sweep(FakeRegion("busy"), CAPS))
+    while not client.nodes[0].calls:
+        await asyncio.sleep(0.001)
+    return busy
+
+
 # ---------------------------------------------------------------- coalescing
 class TestCoalescing:
     def test_concurrent_requests_coalesce_into_one_batch(self):
@@ -182,6 +191,64 @@ class TestCoalescing:
 
         run(scenario())
 
+    def test_request_to_an_idle_node_skips_the_window(self):
+        async def scenario():
+            client = FakeClient(num_nodes=1)
+            async with Gateway(client, window_s=5.0) as gateway:
+                started = time.monotonic()
+                result = await gateway.predict_sweep(FakeRegion("a"), CAPS)
+                assert time.monotonic() - started < 1.0
+            assert result == expected_answer("a")
+
+        run(scenario())
+
+    def test_requests_behind_a_busy_node_go_as_one_batch_when_it_returns(self):
+        async def scenario():
+            client = FakeClient(num_nodes=1)
+            async with Gateway(client, window_s=5.0) as gateway:
+                started = time.monotonic()
+                busy = await occupy(gateway, client, latency=0.2)
+                waiting = []
+                for i in range(3):
+                    waiting.append(
+                        asyncio.ensure_future(
+                            gateway.predict_sweep(FakeRegion(f"r{i}"), CAPS)
+                        )
+                    )
+                    await asyncio.sleep(0.02)
+                assert await busy == expected_answer("busy")
+                assert await asyncio.gather(*waiting) == [
+                    expected_answer(f"r{i}") for i in range(3)
+                ]
+                # Released by the returning call, not by the 5 s window.
+                assert time.monotonic() - started < 2.0
+            assert [call[0] for call in client.nodes[0].calls] == [
+                ["busy"],
+                ["r0", "r1", "r2"],
+            ]
+
+        run(scenario())
+
+    def test_window_caps_the_wait_behind_a_busy_node(self):
+        async def scenario():
+            client = FakeClient(num_nodes=1)
+            async with Gateway(client, window_s=0.05) as gateway:
+                busy = await occupy(gateway, client, latency=0.5)
+                queued = asyncio.ensure_future(
+                    gateway.predict_sweep(FakeRegion("a"), CAPS)
+                )
+                await asyncio.sleep(0.25)
+                # The window passed while the first call was still out.
+                assert not busy.done()
+                assert [call[0] for call in client.nodes[0].calls] == [
+                    ["busy"],
+                    ["a"],
+                ]
+                assert await queued == expected_answer("a")
+                await busy
+
+        run(scenario())
+
 
 # ------------------------------------------------------------- predictor API
 class TestPredictorSurface:
@@ -207,10 +274,13 @@ class TestPredictorSurface:
         async def scenario():
             client = FakeClient(num_nodes=1)
             async with Gateway(client, window_s=0.2) as gateway:
+                # A call in flight holds the next request for the window.
+                busy = await occupy(gateway, client)
                 with pytest.raises(DeadlineExceeded):
                     await gateway.predict_sweep(
                         FakeRegion("a"), CAPS, deadline=0.01
                     )
+                await busy
 
         run(scenario())
 
@@ -226,9 +296,12 @@ class TestDeadlines:
         async def scenario():
             client = FakeClient(num_nodes=1)
             async with Gateway(client, window_s=0.2) as gateway:
+                # A call in flight holds the next request for the window.
+                busy = await occupy(gateway, client)
                 with pytest.raises(DeadlineExceeded, match="expired"):
                     await gateway.predict_sweep(FakeRegion("a"), CAPS, deadline=0.01)
-            assert client.nodes[0].calls == []
+                await busy
+            assert [call[0] for call in client.nodes[0].calls] == [["busy"]]
             assert gateway.stats()["expired"] == 1
 
         run(scenario())

@@ -1,8 +1,10 @@
 """Wire-format tests for the fleet's self-verifying TCP framing."""
 
 import pickle
+import queue
 import random
 import socket
+import statistics
 import struct
 import threading
 import time
@@ -10,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import rpc
+from repro.serve import ChaosProxy, NodeServer, rpc
 
 
 @pytest.fixture()
@@ -459,3 +461,96 @@ class TestPerCallDeadline:
         server.start()
         assert rpc.request(left, ("stats",)) == 7
         server.join(timeout=5.0)
+
+
+def _no_delay(sock) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+@pytest.fixture()
+def node():
+    server = NodeServer()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    thread.join(timeout=5.0)
+
+
+class _RecordingSocket:
+    """Stands in for a socket and keeps every ``sendall`` argument."""
+
+    def __init__(self):
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(data)
+
+
+def _bytes_pickling_to(size: int) -> bytes:
+    """A bytes payload whose pickle is exactly ``size`` bytes long."""
+    for length in range(size, size - 64, -1):
+        payload = b"x" * length
+        if len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)) == size:
+            return payload
+    raise AssertionError(f"no bytes payload pickles to {size} bytes")
+
+
+class TestNoDelayWire:
+    """Small frames leave at once: no socket waits on Nagle's algorithm."""
+
+    def test_connect_returns_a_no_delay_socket(self, node):
+        with rpc.connect(node.address, timeout=5.0) as sock:
+            assert _no_delay(sock)
+
+    def test_node_accepts_no_delay_connections(self, node, monkeypatch):
+        accepted = queue.Queue()
+        serve_connection = NodeServer._serve_connection
+
+        def spy(server, connection):
+            accepted.put(_no_delay(connection))
+            return serve_connection(server, connection)
+
+        monkeypatch.setattr(NodeServer, "_serve_connection", spy)
+        with rpc.connect(node.address, timeout=5.0) as sock:
+            assert rpc.request(sock, ("ping",), timeout=5.0)["version"] == 0
+        assert accepted.get(timeout=5.0) is True
+
+    def test_both_chaos_proxy_legs_are_no_delay(self, node):
+        with ChaosProxy(node.address) as proxy:
+            with rpc.connect(proxy.address, timeout=5.0) as sock:
+                # A round trip through the proxy means both legs are up.
+                rpc.request(sock, ("ping",), timeout=5.0)
+                client_leg, upstream_leg = proxy._sockets[0]
+                assert _no_delay(client_leg)
+                assert _no_delay(upstream_leg)
+
+    def test_small_frame_is_one_write(self):
+        sock = _RecordingSocket()
+        payload = _bytes_pickling_to(rpc.ONE_WRITE_BYTES - 1)
+        rpc.send_message(sock, payload)
+        assert len(sock.writes) == 1
+        assert sock.writes[0] == _v2_frame(payload)
+
+    def test_large_frame_sends_its_payload_uncopied(self):
+        sock = _RecordingSocket()
+        payload = _bytes_pickling_to(rpc.ONE_WRITE_BYTES)
+        rpc.send_message(sock, payload)
+        header, body = sock.writes
+        assert len(header) == rpc.HEADER_BYTES
+        # A view of the pickled bytes themselves, not a header+payload copy.
+        assert isinstance(body, memoryview)
+        assert isinstance(body.obj, bytes)
+        assert len(body.obj) == rpc.ONE_WRITE_BYTES
+        assert header + bytes(body) == _v2_frame(payload)
+
+    def test_ping_round_trip_does_not_stall(self, node):
+        # Nagle's algorithm holding a frame's second write for the peer's
+        # delayed ACK costs about 40 ms per round trip on Linux.
+        with rpc.connect(node.address, timeout=5.0) as sock:
+            trips = []
+            for _ in range(20):
+                start = time.perf_counter()
+                rpc.request(sock, ("ping",), timeout=5.0)
+                trips.append(time.perf_counter() - start)
+        assert statistics.median(trips) < 0.020
