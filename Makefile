@@ -51,8 +51,8 @@ bench-smoke:
 # selections.  serve_novel drives gateway -> TCP fleet -> TieredPredictor ->
 # tuner with never-seen regions (about 14 s of set-up) and serve_warm drives
 # the same front door with cached suite regions at its highest request rate
-# (the gateway's idle dispatch and batching behind busy nodes); each exits 1
-# when any served answer differs from the in-process reference.
+# (the gateway's idle dispatch and its batching behind calls in flight);
+# each exits 1 when any served answer differs from the in-process reference.
 perf-smoke:
 	$(PYTHON) -m benchmarks.perf --workload tune_suite_cv --seed 0 --seconds 1
 	$(PYTHON) -m benchmarks.perf --workload serve_novel --seed 0 --seconds 1

@@ -27,9 +27,9 @@ Above both sits the request-shaped front door:
 
 * **coalesce single requests into batches** — the asyncio :class:`Gateway`
   admits independent single-region predict requests and sends them as one
-  batched sweep per node: at once when their node is idle, and otherwise
-  when one of the node calls in flight returns, never later than a ~5 ms
-  window cap.  It hardens the path against overload: bounded-queue
+  batched sweep per node: at once when no node call is in flight, and
+  otherwise when one of the calls in flight returns, never later than a
+  ~5 ms window cap.  It hardens the path against overload: bounded-queue
   admission control (:exc:`GatewayOverloaded`), end-to-end per-request
   deadlines (:exc:`DeadlineExceeded`, backed by
   :func:`repro.serve.rpc.request`'s per-call socket deadline and

@@ -7,12 +7,12 @@ how the encoder amortises its GNN pass.  The asyncio :class:`Gateway` is the
 front door that turns one shape into the other — and hardens the whole path
 against the ways a front door melts:
 
-* **Adaptive micro-batching** — a request whose node has no call in
-  flight is dispatched at once.  While some queued request's node is still
-  answering, the queue waits until a node call returns or ``window_s``
-  (default 5 ms, a cap) passes, and whoever arrives meanwhile joins it —
-  adaptive batching as in Clipper (Crankshaw et al., NSDI'17): an idle node
-  costs no wait, a busy one gets a batch.  Everything queued is grouped by
+* **Adaptive micro-batching** — when no node call is in flight, a
+  request is dispatched at once.  While some node call is in flight, the
+  queue waits until a node call returns or ``window_s`` (default 5 ms, a
+  cap) passes, and whoever arrives meanwhile joins it — adaptive batching
+  as in Clipper (Crankshaw et al., NSDI'17): an idle fleet costs no wait, a
+  busy one gets a batch.  Everything queued is grouped by
   ``(power_caps, dtype)``, routed over the serving members with the same
   consistent-hash ring the fleet itself shards by (warm per-node caches),
   and dispatched as one batched sweep per node.
@@ -43,7 +43,7 @@ against the ways a front door melts:
   degraded mode.
 
 Request lifecycle: **admit → coalesce → dispatch → hedge → degrade**, where
-*coalesce* costs nothing on an idle node::
+*coalesce* costs nothing while no node call is in flight::
 
     async with Gateway(fleet.client) as gateway:
         results = await gateway.predict_sweep(region, power_caps)
@@ -174,21 +174,24 @@ class Gateway:
         self._max_pending = max(1, int(max_pending))
         self._default_timeout = float(default_timeout)
         self._max_attempts = max(1, int(max_attempts))
-        # The 50 ms hedge floor is far above a warm round trip (about 1 ms
-        # on no-delay sockets), so only a stuck call is hedged, not a busy
-        # one: traced benchmark runs on a 2-core VM hedged 0.1 % (serve_warm)
-        # and 1.4 % (serve_novel, whose cold batches build graphs) of
-        # dispatches.  A floor under the p95 round trip would hedge every
-        # call past it, one in twenty, and run each of those batches twice.
+        # The 50 ms hedge floor is far above a warm round trip (a 1.2 ms
+        # ``sweep_node`` p50 on no-delay sockets), so only a stuck call is
+        # hedged, not a busy one: traced benchmark runs on a 2-core VM
+        # hedged 0.03 % (serve_warm) and 1.5 % (serve_novel, whose cold
+        # batches build graphs) of dispatches.  A floor under the p95 round
+        # trip would hedge every call past it, one in twenty, and run each
+        # of those batches twice.
         self._hedge_floor = float(hedge_delay_floor)
         self._fallback_bucket = _TokenBucket(fallback_rate, fallback_burst)
         self._fallback_predictor = None
         self._fallback_version: Optional[int] = None
         self._fallback_lock = threading.Lock()
         self._queue: List[_Pending] = []
-        # Node calls in flight (``_call_node`` not yet returned), by node;
-        # a node with no entry is idle.
-        self._inflight: Dict[int, int] = {}
+        # Node calls in flight (``_call_node`` awaiting ``sweep_node``).  A
+        # call whose awaiting task is cancelled (a hedge loser) counts as
+        # returned at once, though its executor thread may still hold the
+        # node's socket until the node answers.
+        self._inflight_calls = 0
         self._latencies: List[float] = []  # recent node round trips (bounded)
         self._request_ids = itertools.count()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -327,10 +330,10 @@ class Gateway:
                 return
             if not self._queue:
                 continue
-            if self._queued_node_busy():
-                # Adaptive batching: while a queued request's node is still
-                # answering, whoever arrives joins the same per-node batches,
-                # until a node call returns or ``window_s`` passes.
+            if self._inflight_calls:
+                # Adaptive batching: while a node call is in flight, whoever
+                # arrives joins the same per-node batches, until a node call
+                # returns or ``window_s`` passes.
                 self._returned.clear()
                 try:
                     await asyncio.wait_for(self._returned.wait(), self._window_s)
@@ -338,13 +341,6 @@ class Gateway:
                     pass
             batch, self._queue = self._queue, []
             self._dispatch_batch(batch)
-
-    def _queued_node_busy(self) -> bool:
-        """Whether some queued request routes to a node with a call in flight."""
-        if not self._inflight:
-            return False
-        serving = self._routable_nodes()
-        return any(self._route(p, serving) in self._inflight for p in self._queue)
 
     def _dispatch_batch(self, batch: List[_Pending]) -> None:
         now = self._loop.time()
@@ -513,7 +509,7 @@ class Gateway:
         if budget <= 0:
             raise rpc.RpcTimeout("no budget left before dispatch")
         start = self._loop.time()
-        self._inflight[node] = self._inflight.get(node, 0) + 1
+        self._inflight_calls += 1
         try:
             results = await self._loop.run_in_executor(
                 None,
@@ -522,9 +518,7 @@ class Gateway:
                 ),
             )
         finally:
-            self._inflight[node] -= 1
-            if not self._inflight[node]:
-                del self._inflight[node]
+            self._inflight_calls -= 1
             self._returned.set()
         self._record_latency(self._loop.time() - start)
         return results

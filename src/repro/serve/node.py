@@ -105,7 +105,6 @@ class NodeServer:
                 connection, _ = self._sock.accept()
             except OSError:
                 break  # listening socket closed by shutdown()
-            rpc.no_delay(connection)
             thread = threading.Thread(
                 target=self._serve_connection, args=(connection,), daemon=True
             )
@@ -141,6 +140,10 @@ class NodeServer:
 
     def _serve_connection(self, connection: socket.socket) -> None:
         with connection:
+            try:
+                rpc.no_delay(connection)
+            except OSError:
+                return  # the peer reset before its first frame
             while not self._stopped.is_set():
                 try:
                     message = rpc.recv_message(connection)

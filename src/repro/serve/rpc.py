@@ -34,11 +34,10 @@ the reply and raises :class:`RemoteError` exposing both on an error reply.
 
 Every serving socket sets ``TCP_NODELAY`` (:func:`no_delay`: the sockets
 :func:`connect` returns, the connections a node accepts, both legs of the
-chaos proxy), and :func:`send_message` writes a frame whose payload is
-below :data:`ONE_WRITE_BYTES` with one ``sendall``.  Without both, Nagle's
-algorithm (RFC 896) holds the second write of a frame until the peer's
-delayed ACK, about 40 ms on Linux, and every request/reply round trip pays
-that stall.
+chaos proxy).  :func:`send_message` writes a frame as two ``sendall``
+calls, header then payload; without ``TCP_NODELAY``, Nagle's algorithm
+(RFC 896) holds the second write until the peer's delayed ACK, about 40 ms
+on Linux, and every request/reply round trip pays that stall.
 
 Protocol v1 (a bare 8-byte big-endian length prefix with no verification)
 is not spoken: a frame without the magic is corruption, so no unverified
@@ -114,11 +113,6 @@ _EXTENT = struct.Struct(">Q16s")
 
 #: Total v2 header size (documented in the module docstring diagram).
 HEADER_BYTES = _PREAMBLE.size + _EXTENT.size
-
-#: A frame whose payload is shorter than this goes out as one ``sendall`` of
-#: header plus payload; a longer one (a weights blob at registration) sends
-#: its payload from a ``memoryview``, so the payload is never copied.
-ONE_WRITE_BYTES = 1 << 16
 
 #: Upper bound on a single message (1 GiB) — a corrupt or misaligned stream
 #: fails fast instead of attempting an absurd allocation.
@@ -241,23 +235,18 @@ def _digest(data: bytes) -> bytes:
 def send_message(sock: socket.socket, payload: Any) -> None:
     """Pickle ``payload`` and send it as one verified frame (blocking).
 
-    A payload shorter than :data:`ONE_WRITE_BYTES` (a sweep request or
-    reply of a few regions) goes out with its header in one ``sendall``,
-    so on a no-delay socket the frame leaves at once.  A longer one sends the
-    header, then the payload through a ``memoryview``: the payload (which
-    can be a ~1 GiB weights blob at registration) is never copied into a
-    concatenated buffer.
+    Header and payload go out as two ``sendall`` calls over a
+    ``memoryview`` — the payload (which can be a ~1 GiB weights blob at
+    registration) is never copied into a concatenated buffer.  On a
+    no-delay socket (:func:`no_delay`) the second write leaves at once.
     """
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = _PREAMBLE.pack(_MAGIC, PROTOCOL_VERSION, 0, 0) + _EXTENT.pack(
         len(data), _digest(data)
     )
     try:
-        if len(data) < ONE_WRITE_BYTES:
-            sock.sendall(header + data)
-        else:
-            sock.sendall(header)
-            sock.sendall(memoryview(data))
+        sock.sendall(header)
+        sock.sendall(memoryview(data))
     except TimeoutError:
         raise  # slow peer, not a dead one — see _recv_exact
     except (BrokenPipeError, ConnectionResetError, OSError) as error:

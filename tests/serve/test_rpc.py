@@ -70,6 +70,25 @@ class TestFraming:
         for index in range(5):
             assert rpc.recv_message(right) == {"index": index}
 
+    def test_payload_is_sent_uncopied(self):
+        class RecordingSocket:
+            def __init__(self):
+                self.writes = []
+
+            def sendall(self, data):
+                self.writes.append(data)
+
+        sock = RecordingSocket()
+        payload = ("register", b"w" * 100_000)
+        rpc.send_message(sock, payload)
+        header, body = sock.writes
+        assert len(header) == rpc.HEADER_BYTES
+        # A view of the pickled bytes themselves, not a header+payload copy:
+        # a weights blob is never duplicated on its way out.
+        assert isinstance(body, memoryview)
+        assert isinstance(body.obj, bytes)
+        assert header + bytes(body) == _v2_frame(payload)
+
 
 class TestFailureModes:
     def test_recv_on_closed_peer_raises_connection_closed(self, pair):
@@ -477,27 +496,8 @@ def node():
     thread.join(timeout=5.0)
 
 
-class _RecordingSocket:
-    """Stands in for a socket and keeps every ``sendall`` argument."""
-
-    def __init__(self):
-        self.writes = []
-
-    def sendall(self, data):
-        self.writes.append(data)
-
-
-def _bytes_pickling_to(size: int) -> bytes:
-    """A bytes payload whose pickle is exactly ``size`` bytes long."""
-    for length in range(size, size - 64, -1):
-        payload = b"x" * length
-        if len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)) == size:
-            return payload
-    raise AssertionError(f"no bytes payload pickles to {size} bytes")
-
-
 class TestNoDelayWire:
-    """Small frames leave at once: no socket waits on Nagle's algorithm."""
+    """Every serving socket is no-delay: no frame waits on Nagle's algorithm."""
 
     def test_connect_returns_a_no_delay_socket(self, node):
         with rpc.connect(node.address, timeout=5.0) as sock:
@@ -505,13 +505,14 @@ class TestNoDelayWire:
 
     def test_node_accepts_no_delay_connections(self, node, monkeypatch):
         accepted = queue.Queue()
-        serve_connection = NodeServer._serve_connection
+        recv_message = rpc.recv_message
 
-        def spy(server, connection):
-            accepted.put(_no_delay(connection))
-            return serve_connection(server, connection)
+        def spy(sock, *args, **kwargs):
+            if sock.getsockname() == node.address:  # the node's end
+                accepted.put(_no_delay(sock))
+            return recv_message(sock, *args, **kwargs)
 
-        monkeypatch.setattr(NodeServer, "_serve_connection", spy)
+        monkeypatch.setattr(rpc, "recv_message", spy)
         with rpc.connect(node.address, timeout=5.0) as sock:
             assert rpc.request(sock, ("ping",), timeout=5.0)["version"] == 0
         assert accepted.get(timeout=5.0) is True
@@ -524,25 +525,6 @@ class TestNoDelayWire:
                 client_leg, upstream_leg = proxy._sockets[0]
                 assert _no_delay(client_leg)
                 assert _no_delay(upstream_leg)
-
-    def test_small_frame_is_one_write(self):
-        sock = _RecordingSocket()
-        payload = _bytes_pickling_to(rpc.ONE_WRITE_BYTES - 1)
-        rpc.send_message(sock, payload)
-        assert len(sock.writes) == 1
-        assert sock.writes[0] == _v2_frame(payload)
-
-    def test_large_frame_sends_its_payload_uncopied(self):
-        sock = _RecordingSocket()
-        payload = _bytes_pickling_to(rpc.ONE_WRITE_BYTES)
-        rpc.send_message(sock, payload)
-        header, body = sock.writes
-        assert len(header) == rpc.HEADER_BYTES
-        # A view of the pickled bytes themselves, not a header+payload copy.
-        assert isinstance(body, memoryview)
-        assert isinstance(body.obj, bytes)
-        assert len(body.obj) == rpc.ONE_WRITE_BYTES
-        assert header + bytes(body) == _v2_frame(payload)
 
     def test_ping_round_trip_does_not_stall(self, node):
         # Nagle's algorithm holding a frame's second write for the peer's
