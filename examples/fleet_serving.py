@@ -25,8 +25,8 @@ at a time — asserting byte-identity after every step.
 It then opens the **asyncio Gateway** — the request-shaped front door
 (admit -> coalesce -> dispatch -> hedge -> degrade): a burst of concurrent
 single-region requests is coalesced into one batched sweep per fleet node
-(with no node call in flight a request goes at once; while one is, requests
-wait for a call to return, at most 5 ms) and answered byte-identically to
+(a request goes at once when its node has no call in flight; otherwise it
+waits for that call to return, at most 5 ms) and answered byte-identically to
 the serial path, and after the whole fleet is killed the gateway keeps
 answering from its rate-limited in-process fallback.
 
@@ -182,10 +182,10 @@ def main() -> None:
     # ---------------------------------------------- gateway request path
     # The request-shaped front door: independent single-region requests are
     # admitted into a bounded queue, coalesced into one batched sweep per
-    # fleet node (at once with no node call in flight; otherwise until a call
-    # returns, at most the 5 ms window), hedged/retried around slow or dead
-    # nodes, and — when the whole fleet is gone — answered by a
-    # rate-limited in-process fallback instead of failing.
+    # fleet node (at once when the node has no call in flight; otherwise
+    # when its call returns, at most the 5 ms window), hedged/retried
+    # around slow or dead nodes, and — when the whole fleet is gone —
+    # answered by a rate-limited in-process fallback instead of failing.
     print("\nGateway (admit -> coalesce -> dispatch -> hedge -> degrade):")
 
     async def gateway_demo() -> None:

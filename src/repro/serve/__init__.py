@@ -27,11 +27,11 @@ Above both sits the request-shaped front door:
 
 * **coalesce single requests into batches** — the asyncio :class:`Gateway`
   admits independent single-region predict requests and sends them as one
-  batched sweep per node: at once when no node call is in flight, and
-  otherwise when one of the calls in flight returns, never later than a
-  ~5 ms window cap.  It hardens the path against overload: bounded-queue
-  admission control (:exc:`GatewayOverloaded`), end-to-end per-request
-  deadlines (:exc:`DeadlineExceeded`, backed by
+  batched sweep per node, one batch at a time per node: at once when the
+  node has no call in flight, and otherwise when its call returns, never
+  later than a ~5 ms window cap.  It hardens the path against overload:
+  bounded-queue admission control (:exc:`GatewayOverloaded`), end-to-end
+  per-request deadlines (:exc:`DeadlineExceeded`, backed by
   :func:`repro.serve.rpc.request`'s per-call socket deadline and
   :exc:`~repro.serve.rpc.RpcTimeout`), hedged retries over the nodes the
   fleet client reports serving (node health is the client's alone), and a

@@ -7,15 +7,16 @@ how the encoder amortises its GNN pass.  The asyncio :class:`Gateway` is the
 front door that turns one shape into the other — and hardens the whole path
 against the ways a front door melts:
 
-* **Adaptive micro-batching** — when no node call is in flight, a
-  request is dispatched at once.  While some node call is in flight, the
-  queue waits until a node call returns or ``window_s`` (default 5 ms, a
-  cap) passes, and whoever arrives meanwhile joins it — adaptive batching
-  as in Clipper (Crankshaw et al., NSDI'17): an idle fleet costs no wait, a
-  busy one gets a batch.  Everything queued is grouped by
-  ``(power_caps, dtype)``, routed over the serving members with the same
-  consistent-hash ring the fleet itself shards by (warm per-node caches),
-  and dispatched as one batched sweep per node.
+* **Adaptive micro-batching** — requests are routed over the serving
+  members with the same consistent-hash ring the fleet itself shards by
+  (warm per-node caches) and grouped by ``(node, power_caps, dtype)``.  A
+  node gets one batch at a time, as its request socket carries one call
+  at a time: a request for a node with no call in flight is dispatched at
+  once, while one for a busy node waits until that node's call returns —
+  at most ``window_s`` (default 5 ms, a cap) — and whoever arrives for the
+  node meanwhile joins its batch.  This is adaptive batching as in Clipper
+  (Crankshaw et al., NSDI'17): an idle node costs no wait, a busy one gets
+  a batch, and no call waits on a node's socket behind another.
 * **Admission control & backpressure** — the pending queue is bounded;
   beyond ``max_pending`` the gateway sheds *immediately* with
   :exc:`GatewayOverloaded`, which carries the queue depth and a
@@ -27,8 +28,9 @@ against the ways a front door melts:
   under the remaining budget via ``rpc.request(..., timeout=)`` — a hung
   node costs the deadline, never an unbounded hang.
 * **Hedged retries** — a batch stuck on a slow node is hedged onto another
-  serving node after a latency-percentile delay; the first answer wins
-  (every path is byte-identical, so duplicates are harmless).
+  serving node after a latency-percentile delay, once some node has
+  nothing to do (no call in flight, no request waiting for it); the first
+  answer wins (every path is byte-identical, so duplicates are harmless).
 * **Graceful degradation** — with *no* serving node (all DEAD), the gateway
   answers from a rate-limited in-process fallback predictor rebuilt from
   the registered spec + weights
@@ -43,7 +45,7 @@ against the ways a front door melts:
   degraded mode.
 
 Request lifecycle: **admit → coalesce → dispatch → hedge → degrade**, where
-*coalesce* costs nothing while no node call is in flight::
+*coalesce* costs nothing while the request's node has no call in flight::
 
     async with Gateway(fleet.client) as gateway:
         results = await gateway.predict_sweep(region, power_caps)
@@ -65,6 +67,7 @@ unretried, and leaves the node serving.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import threading
 import time
@@ -138,8 +141,13 @@ class _Pending:
     dtype: Optional[str]
     deadline: float  # absolute event-loop time
     future: asyncio.Future
+    queued: float = 0.0  # event-loop time of admission
     attempts: int = 0
     avoid: Set[int] = field(default_factory=set)  # nodes that already failed it
+    # The last routing decision and the members it was made over, so a
+    # request waiting for its node is not hashed again on every pass.
+    routed_over: Tuple[int, ...] = ()
+    node: Optional[int] = None
 
 
 class Gateway:
@@ -174,29 +182,32 @@ class Gateway:
         self._max_pending = max(1, int(max_pending))
         self._default_timeout = float(default_timeout)
         self._max_attempts = max(1, int(max_attempts))
-        # The 50 ms hedge floor is far above a warm round trip (a 1.2 ms
+        # The 50 ms hedge floor is far above a warm round trip (a 1.2-1.5 ms
         # ``sweep_node`` p50 on no-delay sockets), so only a stuck call is
-        # hedged, not a busy one: traced benchmark runs on a 2-core VM
+        # hedged, not a busy one.  A floor under the p95 round trip would
+        # hedge every call past it, one in twenty, and run each of those
+        # batches twice.  Under load a cold batch can still pass 50 ms while
+        # the host is slow; hedges then go only to a node with nothing to do
+        # (``_pick_hedge_node``).  Traced benchmark runs on a 2-core VM
         # hedged 0.03 % (serve_warm) and 1.5 % (serve_novel, whose cold
-        # batches build graphs) of dispatches.  A floor under the p95 round
-        # trip would hedge every call past it, one in twenty, and run each
-        # of those batches twice.
+        # batches build graphs) of dispatches without that rule, and none
+        # with it.
         self._hedge_floor = float(hedge_delay_floor)
         self._fallback_bucket = _TokenBucket(fallback_rate, fallback_burst)
         self._fallback_predictor = None
         self._fallback_version: Optional[int] = None
         self._fallback_lock = threading.Lock()
         self._queue: List[_Pending] = []
-        # Node calls in flight (``_call_node`` awaiting ``sweep_node``).  A
-        # call whose awaiting task is cancelled (a hedge loser) counts as
-        # returned at once, though its executor thread may still hold the
-        # node's socket until the node answers.
-        self._inflight_calls = 0
+        # Calls in flight per node (primary and hedge), counted from the
+        # moment their task is created.  A call whose task is cancelled (a
+        # hedge loser) counts as returned at once, though its executor
+        # thread may still hold the node's socket until the node answers.
+        self._node_calls: Dict[int, int] = {}
+        self._window_timer: Optional[asyncio.TimerHandle] = None
         self._latencies: List[float] = []  # recent node round trips (bounded)
         self._request_ids = itertools.count()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake: Optional[asyncio.Event] = None
-        self._returned: Optional[asyncio.Event] = None  # a node call returned
         self._batcher: Optional[asyncio.Task] = None
         self._dispatches: Set[asyncio.Task] = set()
         self._started = False
@@ -223,7 +234,6 @@ class Gateway:
             raise RuntimeError("Gateway is already started")
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        self._returned = asyncio.Event()
         self._batcher = self._loop.create_task(self._batch_loop())
         self._started = True
         _LOG.info(
@@ -241,6 +251,8 @@ class Gateway:
         self._closed = True
         self._wake.set()
         await self._batcher
+        if self._window_timer is not None:
+            self._window_timer.cancel()
         for task in list(self._dispatches):
             task.cancel()
         await asyncio.gather(*self._dispatches, return_exceptions=True)
@@ -315,6 +327,7 @@ class Gateway:
             dtype=dtype,
             deadline=self._loop.time() + budget,
             future=self._loop.create_future(),
+            queued=self._loop.time(),
         )
         self._stats["admitted"] += 1
         self._queue.append(pending)
@@ -328,27 +341,38 @@ class Gateway:
             self._wake.clear()
             if self._closed:
                 return
-            if not self._queue:
-                continue
-            if self._inflight_calls:
-                # Adaptive batching: while a node call is in flight, whoever
-                # arrives joins the same per-node batches, until a node call
-                # returns or ``window_s`` passes.
-                self._returned.clear()
-                try:
-                    await asyncio.wait_for(self._returned.wait(), self._window_s)
-                except asyncio.TimeoutError:
-                    pass
-            batch, self._queue = self._queue, []
-            self._dispatch_batch(batch)
+            if self._queue:
+                self._dispatch_queue()
 
-    def _dispatch_batch(self, batch: List[_Pending]) -> None:
+    def _dispatch_queue(self) -> None:
+        """Send each idle node one batch; everything else keeps waiting.
+
+        A node's request socket carries one call at a time, so the gateway
+        sends a node one batch at a time: a request routed to a node with a
+        call in flight waits in the queue — joining the batch that goes out
+        when that call returns — for at most ``window_s``.  A node that
+        takes a batch this pass takes only the requests of its first
+        ``(caps, dtype)`` group; its other groups wait for the next pass.
+        """
+        batch, self._queue = self._queue, []
         now = self._loop.time()
         expected = self._expected_latency()
-        admitted: List[_Pending] = []
+        window = self._window_s
+        serving = tuple(self._routable_nodes())
+        groups: Dict[Tuple[Optional[int], Tuple, Optional[str]], List[_Pending]] = {}
+        taking: Dict[int, Tuple] = {}  # node -> the group it takes this pass
         for pending in batch:
             if pending.future.done():
                 continue  # caller went away (cancelled) while queued
+            node = self._route(pending, serving)
+            key = (node, pending.power_caps, pending.dtype)
+            if node in taking:
+                wait = taking[node] != key  # its node takes another group
+            else:  # wait for a busy node's call to return, window_s at most
+                wait = node in self._node_calls and now - pending.queued < window
+            if wait:
+                self._queue.append(pending)
+                continue
             if pending.deadline <= now:
                 self._stats["expired"] += 1
                 self._fail(
@@ -370,24 +394,37 @@ class Gateway:
                     ),
                 )
             else:
-                admitted.append(pending)
-        if not admitted:
-            return
-        groups: Dict[Tuple[Optional[int], Tuple, Optional[str]], List[_Pending]] = {}
-        serving = self._routable_nodes()
-        for pending in admitted:
-            node = self._route(pending, serving)
-            key = (node, pending.power_caps, pending.dtype)
-            groups.setdefault(key, []).append(pending)
+                if node is not None:
+                    taking[node] = key
+                groups.setdefault(key, []).append(pending)
         for (node, caps, dtype), items in groups.items():
             if node is None:
                 task = self._loop.create_task(self._degrade(caps, dtype, items))
             else:
+                primary = self._start_call(
+                    node, [p.region for p in items], caps, dtype,
+                    min(p.deadline for p in items),
+                )
                 task = self._loop.create_task(
-                    self._dispatch(node, caps, dtype, items)
+                    self._dispatch(node, caps, dtype, items, primary)
                 )
             self._dispatches.add(task)
             task.add_done_callback(self._dispatches.discard)
+        if self._queue:
+            self._arm_window(min(p.queued for p in self._queue) + window)
+
+    def _arm_window(self, when: float) -> None:
+        """Wake the batcher at loop time ``when``, unless it wakes sooner."""
+        timer = self._window_timer
+        if timer is not None and timer.when() <= when:
+            return
+        if timer is not None:
+            timer.cancel()
+        self._window_timer = self._loop.call_at(when, self._window_elapsed)
+
+    def _window_elapsed(self) -> None:
+        self._window_timer = None
+        self._wake.set()
 
     def _routable_nodes(self) -> List[int]:
         """The members the client currently lets serve."""
@@ -396,15 +433,20 @@ class Gateway:
         except Exception:  # noqa: BLE001 - a closed/failed client serves nobody
             return []
 
-    def _route(self, pending: _Pending, serving: List[int]) -> Optional[int]:
+    def _route(self, pending: _Pending, serving: Tuple[int, ...]) -> Optional[int]:
         """Pick the node for one request: ring over non-avoided members."""
-        candidates = [index for index in serving if index not in pending.avoid]
-        if not candidates:
-            candidates = serving  # every node failed it once; retry anywhere
+        candidates = serving
+        if pending.avoid:
+            candidates = tuple(i for i in serving if i not in pending.avoid)
+            if not candidates:
+                candidates = serving  # every node failed it once; retry anywhere
         if not candidates:
             return None
-        ring = shared_ring(tuple(sorted(candidates)))
-        return ring.node_for(pending.region.region_id)
+        if candidates != pending.routed_over:
+            ring = shared_ring(tuple(sorted(candidates)))
+            pending.node = ring.node_for(pending.region.region_id)
+            pending.routed_over = candidates
+        return pending.node
 
     # -------------------------------------------------------------- dispatch
     async def _dispatch(
@@ -413,6 +455,7 @@ class Gateway:
         caps: Tuple[float, ...],
         dtype: Optional[str],
         items: List[_Pending],
+        primary: asyncio.Task,
     ) -> None:
         """One per-node batch: call, hedge on a slow answer, retry on failure.
 
@@ -423,8 +466,7 @@ class Gateway:
         deadline = min(p.deadline for p in items)
         regions = [p.region for p in items]
         tried: Set[int] = set()
-        primary = self._call_node(node, regions, caps, dtype, deadline)
-        tasks: Dict[asyncio.Task, int] = {self._loop.create_task(primary): node}
+        tasks: Dict[asyncio.Task, int] = {primary: node}
         tried.add(node)
         hedged = False
         winner: Optional[int] = None
@@ -442,23 +484,22 @@ class Gateway:
                 if not done:
                     if hedged:
                         continue  # budget re-checked at the top of the loop
-                    # Slow primary: hedge the batch onto another serving node.
-                    hedged = True
+                    # Slow primary: hedge the batch onto an idle serving node.
                     avoid = tried.union(*(p.avoid for p in items))
                     hedge_node = self._pick_hedge_node(avoid)
-                    if hedge_node is not None:
-                        self._stats["hedges"] += 1
-                        tried.add(hedge_node)
-                        _LOG.info(
-                            "hedging batch of %d (stuck on node %d) onto node %d",
-                            len(items),
-                            node,
-                            hedge_node,
-                        )
-                        hedge = self._call_node(
-                            hedge_node, regions, caps, dtype, deadline
-                        )
-                        tasks[self._loop.create_task(hedge)] = hedge_node
+                    if hedge_node is None:
+                        continue  # none idle: look again after another delay
+                    hedged = True
+                    self._stats["hedges"] += 1
+                    tried.add(hedge_node)
+                    _LOG.info(
+                        "hedging batch of %d (stuck on node %d) onto node %d",
+                        len(items),
+                        node,
+                        hedge_node,
+                    )
+                    hedge = self._start_call(hedge_node, regions, caps, dtype, deadline)
+                    tasks[hedge] = hedge_node
                     continue
                 for task in done:
                     task_node = tasks.pop(task)
@@ -509,22 +550,54 @@ class Gateway:
         if budget <= 0:
             raise rpc.RpcTimeout("no budget left before dispatch")
         start = self._loop.time()
-        self._inflight_calls += 1
-        try:
-            results = await self._loop.run_in_executor(
-                None,
-                lambda: self._client.sweep_node(
-                    node, regions, caps, dtype=dtype, timeout=budget
-                ),
-            )
-        finally:
-            self._inflight_calls -= 1
-            self._returned.set()
+        results = await self._loop.run_in_executor(
+            None,
+            lambda: self._client.sweep_node(
+                node, regions, caps, dtype=dtype, timeout=budget
+            ),
+        )
         self._record_latency(self._loop.time() - start)
         return results
 
+    def _start_call(
+        self,
+        node: int,
+        regions: List[RegionCharacteristics],
+        caps: Tuple[float, ...],
+        dtype: Optional[str],
+        deadline: float,
+    ) -> asyncio.Task:
+        """Start one node call as a task; the node counts as busy until it ends."""
+        self._node_calls[node] = self._node_calls.get(node, 0) + 1
+        task = self._loop.create_task(
+            self._call_node(node, regions, caps, dtype, deadline)
+        )
+        task.add_done_callback(functools.partial(self._call_ended, node))
+        return task
+
+    def _call_ended(self, node: int, _task: asyncio.Task) -> None:
+        left = self._node_calls.pop(node) - 1
+        if left:
+            self._node_calls[node] = left
+        if self._queue:
+            self._wake.set()  # the requests waiting for this node can go
+
     def _pick_hedge_node(self, avoid: Set[int]) -> Optional[int]:
-        candidates = [n for n in self._routable_nodes() if n not in avoid]
+        """The lowest serving node outside ``avoid`` with nothing to do.
+
+        A hedge spends spare capacity only: a node with a call in flight or
+        a request waiting for it would serve the hedge instead of its own
+        work, on the same CPUs the primary's node is using.  Under load, a
+        round trip slower than the hedge delay is most often a busy fleet
+        rather than a stuck node, and the batch keeps its primary until
+        some node is free.
+        """
+        waiting = {pending.node for pending in self._queue}
+        candidates = [
+            n
+            for n in self._routable_nodes()
+            if n not in avoid and n not in self._node_calls and n not in waiting
+        ]
         return min(candidates) if candidates else None
 
     def _requeue_or_fail(self, items: List[_Pending], tried: Set[int]) -> None:

@@ -589,3 +589,28 @@ class TestGracefulShutdown:
             assert outcome["results"] == expected
             process.join(timeout=30.0)
             assert process.exitcode == 0
+
+
+class TestNodeProcess:
+    def test_node_freezes_the_heap_it_inherits_before_serving(self, monkeypatch):
+        import repro.serve.node as node_module
+
+        events = []
+        monkeypatch.setattr(node_module.gc, "collect", lambda: events.append("collect"))
+        monkeypatch.setattr(node_module.gc, "freeze", lambda: events.append("freeze"))
+
+        def server_that_cannot_bind(**kwargs):
+            events.append("server")
+            raise OSError("address in use")
+
+        monkeypatch.setattr(node_module, "NodeServer", server_that_cannot_bind)
+
+        class Channel:
+            def send(self, message):
+                events.append(message[0])
+
+            def close(self):
+                pass
+
+        node_module.node_subprocess_main(Channel())
+        assert events == ["collect", "freeze", "server", "error"]

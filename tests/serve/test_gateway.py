@@ -13,6 +13,7 @@ through pause/kill/kill-all churn and asserts byte-identity with serial
 
 import asyncio
 import dataclasses
+import threading
 import time
 
 import pytest
@@ -120,6 +121,26 @@ class FakeClient:
         return self.fallback_tuner
 
 
+class CountingClient(FakeClient):
+    """A :class:`FakeClient` that records the most calls it ran at once."""
+
+    def __init__(self, num_nodes=2):
+        super().__init__(num_nodes)
+        self._count_lock = threading.Lock()
+        self._running = 0
+        self.most_at_once = 0
+
+    def sweep_node(self, index, regions, power_caps, dtype=None, timeout=None):
+        with self._count_lock:
+            self._running += 1
+            self.most_at_once = max(self.most_at_once, self._running)
+        try:
+            return super().sweep_node(index, regions, power_caps, dtype, timeout)
+        finally:
+            with self._count_lock:
+                self._running -= 1
+
+
 class FakeTuner:
     """An in-process fallback answering with the same pure function."""
 
@@ -138,11 +159,21 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-async def occupy(gateway, client, latency=0.3):
-    """Put one call in flight on a one-node client; return its request task."""
-    client.nodes[0].latency = latency
-    busy = asyncio.ensure_future(gateway.predict_sweep(FakeRegion("busy"), CAPS))
-    while not client.nodes[0].calls:
+def region_on(node, prefix, ring=HashRing((0, 1))):
+    """The first ``<prefix><i>`` region id the two-node ring sends to ``node``."""
+    return next(
+        f"{prefix}{i}" for i in range(1000) if ring.node_for(f"{prefix}{i}") == node
+    )
+
+
+async def occupy(gateway, client, latency=0.3, region="busy", node=0):
+    """Put one call in flight on ``node``; return its request task.
+
+    ``region`` must route to ``node`` (any id does on a one-node client).
+    """
+    client.nodes[node].latency = latency
+    busy = asyncio.ensure_future(gateway.predict_sweep(FakeRegion(region), CAPS))
+    while not client.nodes[node].calls:
         await asyncio.sleep(0.001)
     return busy
 
@@ -226,6 +257,57 @@ class TestCoalescing:
                 ["busy"],
                 ["r0", "r1", "r2"],
             ]
+
+        run(scenario())
+
+    def test_a_busy_node_holds_back_only_its_own_requests(self):
+        async def scenario():
+            client = FakeClient(num_nodes=2)
+            on_0, on_1 = region_on(0, "r"), region_on(1, "r")
+            async with Gateway(client, window_s=5.0, hedge_delay_floor=5.0) as gateway:
+                busy = await occupy(gateway, client, region=region_on(0, "busy"))
+                behind = asyncio.ensure_future(
+                    gateway.predict_sweep(FakeRegion(on_0), CAPS)
+                )
+                started = time.monotonic()
+                # Node 1 is idle: its request goes at once.
+                assert await gateway.predict_sweep(
+                    FakeRegion(on_1), CAPS
+                ) == expected_answer(on_1)
+                assert time.monotonic() - started < 0.2
+                assert not busy.done() and not behind.done()
+                assert await behind == expected_answer(on_0)
+                await busy
+            assert [call[0] for call in client.nodes[0].calls] == [
+                [region_on(0, "busy")],
+                [on_0],
+            ]
+            assert [call[0] for call in client.nodes[1].calls] == [[on_1]]
+
+        run(scenario())
+
+    def test_a_node_takes_one_batch_at_a_time(self):
+        async def scenario():
+            client = CountingClient(num_nodes=1)
+            async with Gateway(client, window_s=5.0) as gateway:
+                busy = await occupy(gateway, client, latency=0.1)
+                waiting = [
+                    asyncio.ensure_future(
+                        gateway.predict_sweep(FakeRegion(name), caps)
+                    )
+                    for name, caps in (("a", CAPS), ("b", CAPS[:2]), ("c", CAPS))
+                ]
+                started = time.monotonic()
+                await busy
+                await asyncio.gather(*waiting)
+                # Each group went when the call before it returned.
+                assert time.monotonic() - started < 2.0
+            assert [call[0] for call in client.nodes[0].calls] == [
+                ["busy"],
+                ["a", "c"],
+                ["b"],
+            ]
+            assert client.most_at_once == 1
 
         run(scenario())
 
@@ -395,6 +477,39 @@ class TestHedging:
             # the slow primary would eventually have said.
             assert result == expected_answer("hedge-me")
             assert client.nodes[primary].calls and client.nodes[other].calls
+            stats = gateway.stats()
+            assert stats["hedges"] == 1 and stats["hedge_wins"] == 1
+
+        run(scenario())
+
+    def test_a_hedge_waits_for_an_idle_node(self):
+        async def scenario():
+            client = FakeClient(num_nodes=2)
+            slow, busy = region_on(0, "slow"), region_on(1, "busy")
+            client.nodes[0].latency = 1.0
+            client.nodes[1].latency = 0.3
+            async with Gateway(
+                client, window_s=0.005, hedge_delay_floor=0.05
+            ) as gateway:
+                answers = [
+                    asyncio.ensure_future(
+                        gateway.predict_sweep(FakeRegion(name), CAPS, deadline=5.0)
+                    )
+                    for name in (slow, busy)
+                ]
+                while not (client.nodes[0].calls and client.nodes[1].calls):
+                    await asyncio.sleep(0.001)
+                client.nodes[1].latency = 0.0  # only its call in flight is slow
+                await asyncio.sleep(0.2)
+                # Both batches are past the hedge delay, but each other
+                # node has a call in flight.
+                assert gateway.stats()["hedges"] == 0
+                assert await asyncio.gather(*answers) == [
+                    expected_answer(slow),
+                    expected_answer(busy),
+                ]
+            # Once node 1's call returned, the slow batch was hedged onto it.
+            assert [call[0] for call in client.nodes[1].calls] == [[busy], [slow]]
             stats = gateway.stats()
             assert stats["hedges"] == 1 and stats["hedge_wins"] == 1
 
