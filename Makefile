@@ -43,18 +43,22 @@ coverage:
 bench-smoke:
 	$(PYTHON) -m benchmarks.floors
 
-# End-to-end smokes (CI `perf` job), three workloads of the benchmark
+# End-to-end smokes (CI `perf` job), all four workloads of the benchmark
 # (benchmarks/perf).  tune_suite_cv is the paper's experiment: it builds the
 # 68-region measurement database, runs the 3-fold cross-validated PnP
 # selections and evaluates them (one timed repetition); it exits 1 when CV
 # repetitions disagree or a fresh re-run of the first fold changes its
-# selections.  serve_novel drives gateway -> TCP fleet -> TieredPredictor ->
+# selections.  tune_novel tunes batches of never-seen regions in process,
+# binding the compiled inference program to a fresh plan on every call; it
+# exits 1 when an answer differs from a twin tuner's serial sweep.
+# serve_novel drives gateway -> TCP fleet -> TieredPredictor ->
 # tuner with never-seen regions (about 14 s of set-up) and serve_warm drives
 # the same front door with cached suite regions at its highest request rate
 # (the gateway's idle dispatch and its batching behind calls in flight);
 # each exits 1 when any served answer differs from the in-process reference.
 perf-smoke:
 	$(PYTHON) -m benchmarks.perf --workload tune_suite_cv --seed 0 --seconds 1
+	$(PYTHON) -m benchmarks.perf --workload tune_novel --seed 0 --seconds 1
 	$(PYTHON) -m benchmarks.perf --workload serve_novel --seed 0 --seconds 1
 	$(PYTHON) -m benchmarks.perf --workload serve_warm --seed 0 --seconds 1
 

@@ -289,7 +289,6 @@ def run_cross_validation(
     model_factory,
     training_config: TrainingConfig,
     splitter=None,
-    train_hook=None,
 ) -> Dict[str, int]:
     """Cross-validate and return ``{(sample key) : predicted label}``.
 
@@ -303,11 +302,6 @@ def run_cross_validation(
         Hyperparameters shared by every fold.
     splitter:
         Fold generator; defaults to :class:`LeaveOneApplicationOut`.
-    train_hook:
-        Optional callable ``(model, train_samples) -> parameters`` invoked
-        before training each fold; used by the transfer-learning experiment
-        to load pre-trained GNN weights and restrict the optimised
-        parameters.  Returning ``None`` trains all parameters.
 
     Returns
     -------
@@ -320,8 +314,7 @@ def run_cross_validation(
     predictions: Dict[str, int] = {}
     for fold_name, train, validation in splitter.split(samples):
         model = model_factory()
-        parameters = train_hook(model, train) if train_hook is not None else None
-        train_model(model, train, training_config, parameters=parameters)
+        train_model(model, train, training_config)
         fold_predictions = predict_labels(model, validation)
         for labeled, predicted in zip(validation, fold_predictions):
             predictions[_sample_key(labeled)] = int(predicted)

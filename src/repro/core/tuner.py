@@ -486,7 +486,7 @@ class PnPTuner:
 
         Aggregates :meth:`InferenceProgram.buffer_stats` across the tuner's
         compiled programs (one per served dtype) — bound plans, arena
-        slabs/bytes, head workspaces — plus the entry count of the embedding
+        buffers/bytes, head workspaces — plus the entry count of the embedding
         cache and the buffers of every attached micro-model runtime
         (``micro_*`` keys).  Arenas are keyed by weakly-referenced
         ``EdgePlan``s and the tuner keeps no batch past a call, so between
@@ -496,7 +496,6 @@ class PnPTuner:
         stats = {
             "programs": len(self._programs),
             "bound_plans": 0,
-            "arena_slabs": 0,
             "arena_buffers": 0,
             "arena_bytes": 0,
             "head_workspaces": 0,

@@ -76,14 +76,12 @@ def pnp_cross_validated_selections(
     scenario: TuningScenario,
     include_counters: bool,
     optimizer: str,
-    train_hook=None,
 ):
     """Cross-validate the PnP model and convert predictions to selections.
 
     Returns the selections in the format the evaluation functions expect:
     ``{(region_id, cap): config}`` for the performance scenario and
-    ``{region_id: (cap, config)}`` for the EDP scenario.  ``train_hook`` is
-    forwarded to :func:`repro.core.training.run_cross_validation`.
+    ``{region_id: (cap, config)}`` for the EDP scenario.
     """
     space = builder.search_space
     num_classes = (
@@ -100,7 +98,6 @@ def pnp_cross_validated_selections(
         model_factory=lambda: PnPModel(model_config),
         training_config=training_config,
         splitter=profile.splitter(),
-        train_hook=train_hook,
     )
     if scenario == TuningScenario.PERFORMANCE:
         return labels_to_performance_selections(predictions, space)

@@ -38,7 +38,7 @@ Message passing sums each relation's messages into their destination nodes
 with one of two scatter kernels, chosen by who owns the output buffer
 (:mod:`repro.nn._scatter`): autograd (training and the ``Module`` forward)
 uses the allocating flat-bincount kernel, and the compiled runtime always
-accumulates in index order into its planned arena buffers, allocation-free.
+accumulates in index order into its per-plan arena buffers, allocation-free.
 At float64 the program is bit-identical to the ``Module`` forward; at both
 dtypes it is bit-identical to the ``np.add.at`` reference
 (:func:`~repro.nn._scatter.reference_kernels`).

@@ -336,7 +336,8 @@ def scatter_rows_sum_into(
             start = offsets[r]
             np.add(gathered[:live], gathered[start : start + live], out=gathered[:live])
         # Pad row feeds bucket-less output rows; the buffer may be shared
-        # (arena slab), so it cannot be assumed still zero from last call.
+        # (one arena buffer serves every relation and layer of a width), so
+        # it cannot be assumed still zero from last call.
         buffer[num_segments].fill(0)
         np.take(buffer, rounds.take_index(out.shape[0]), axis=0, out=out, mode="clip")
         return out

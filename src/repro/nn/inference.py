@@ -14,17 +14,16 @@ planned RGCN message passing through the existing
 * references the model's parameter arrays directly (no ``Tensor`` wrappers,
   no autograd graph, no ``no_grad`` bookkeeping) — or, at another serving
   dtype, copies cast once at lowering time,
-* owns **one memory-planned arena per** ``(EdgePlan, dtype)``: a liveness
-  pass over the flat step list records every buffer's first/last-use step,
-  then disjoint-lifetime buffers share reusable slabs (the per-plan
-  :class:`Arena` is held in a :class:`weakref.WeakKeyDictionary`, so
-  buffers die with their plan),
+* owns **one arena per** ``(EdgePlan, dtype)``: the flat step list is bound
+  once against it, and each buffer key gets its own array, allocated on
+  its first request (the per-plan :class:`Arena` is held in a
+  :class:`weakref.WeakKeyDictionary`, so buffers die with their plan),
 * performs **zero NumPy array allocations** on the warm path — every
   kernel runs in its out-parameter form (gathers, matmuls, normalisation,
   the index-ordered scatter of
   :func:`~repro.nn._scatter.scatter_rows_sum_into`, masked in-place
   activations, the dense head product, even the final ``argmax``) into
-  arena views or per-row-count head workspaces, and
+  arena buffers or per-row-count head workspaces, and
 * is **bit-identical** to the ``Module`` forward at float64, and at both
   dtypes to the ``Module`` run under
   :func:`~repro.nn._scatter.reference_kernels`: every step performs the
@@ -92,153 +91,46 @@ class _EncoderInputs:
         self.node_types: Optional[np.ndarray] = None
 
 
-def _buffer(buffers, key: object, shape, dtype: np.dtype) -> np.ndarray:
-    """Fetch-or-request a named buffer of exactly ``shape``/``dtype``.
-
-    ``buffers`` is either the :class:`_BufferPlanner` (liveness pass — the
-    request is recorded and a zero-backed dummy of the right shape comes
-    back) or the built :class:`Arena` (binding pass — the planned slab view
-    comes back).  Steps call this identically in both passes.
-    """
+def _buffer(buffers: Arena, key: object, shape, dtype: np.dtype) -> np.ndarray:
+    """Fetch-or-allocate the named arena buffer of exactly ``shape``/``dtype``."""
     return buffers.ensure(key, tuple(shape), np.dtype(dtype))
 
 
-class _BufferRequest:
-    """One planned buffer: its shape and live [first, last] step interval."""
-
-    __slots__ = ("key", "shape", "elements", "first", "last")
-
-    def __init__(self, key: object, shape: Tuple[int, ...], step: int) -> None:
-        self.key = key
-        self.shape = shape
-        self.elements = int(np.prod(shape)) if shape else 1
-        self.first = step
-        self.last = step
-
-
-class _BufferPlanner:
-    """Liveness pass over the flat step list (phase one of binding).
-
-    Steps are bound once against this recorder: every ``ensure``/``get``
-    extends the touched buffer's live interval to the current step, and the
-    thunks produced (closing over read-only zero-stride dummies) are
-    discarded.  :meth:`build_arena` then assigns buffers with disjoint
-    intervals to shared slabs — first-fit onto the largest free slab, so a
-    later small buffer slips into an earlier big one instead of growing a
-    fresh slab.
-    """
-
-    def __init__(self, dtype: np.dtype) -> None:
-        self.dtype = np.dtype(dtype)
-        self._requests: Dict[object, _BufferRequest] = {}
-        self._step = 0
-
-    def begin_step(self) -> None:
-        self._step += 1
-
-    def _dummy(self, shape: Tuple[int, ...]) -> np.ndarray:
-        return np.broadcast_to(np.zeros((), dtype=self.dtype), shape)
-
-    def get(self, key: object) -> Optional[np.ndarray]:
-        request = self._requests.get(key)
-        if request is None:
-            return None
-        request.last = self._step
-        return self._dummy(request.shape)
-
-    def ensure(self, key: object, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        request = self._requests.get(key)
-        if request is not None:
-            if request.shape != shape or dtype != self.dtype:
-                raise ValueError(
-                    f"buffer {key!r} already bound with shape {request.shape} "
-                    f"({self.dtype}), requested {shape} ({dtype})"
-                )
-            request.last = self._step
-        else:
-            if dtype != self.dtype:
-                raise ValueError(
-                    f"buffer {key!r} requested as {dtype}, arena is {self.dtype}"
-                )
-            self._requests[key] = _BufferRequest(key, shape, self._step)
-        return self._dummy(shape)
-
-    def pin(self, key: object) -> None:
-        """Keep ``key`` live past the last step (it is the program output)."""
-        self._requests[key].last = self._step + 1
-
-    def build_arena(self) -> "Arena":
-        slab_capacity: List[int] = []
-        slab_last: List[int] = []
-        placements: Dict[object, Tuple[int, Tuple[int, ...], int]] = {}
-        ordered = sorted(
-            self._requests.values(), key=lambda r: (r.first, -r.elements)
-        )
-        for request in ordered:
-            chosen = -1
-            for slab in range(len(slab_capacity)):
-                if slab_last[slab] < request.first and (
-                    chosen < 0 or slab_capacity[slab] > slab_capacity[chosen]
-                ):
-                    chosen = slab
-            if chosen < 0:
-                chosen = len(slab_capacity)
-                slab_capacity.append(0)
-                slab_last.append(request.first)
-            slab_capacity[chosen] = max(slab_capacity[chosen], request.elements)
-            slab_last[chosen] = max(slab_last[chosen], request.last)
-            placements[request.key] = (chosen, request.shape, request.elements)
-        return Arena(self.dtype, slab_capacity, placements)
-
-
 class Arena:
-    """Slab-backed buffer pool of one ``(EdgePlan, dtype)`` binding.
+    """The buffers of one ``(EdgePlan, dtype)`` binding, one array per key.
 
-    One flat ``np.empty`` per planned slab; every buffer is a leading view
-    (``slab[:elements].reshape(shape)``) of its assigned slab, so buffers
-    whose live step intervals were disjoint share the same memory.
+    A key's ``np.empty`` array is allocated by its first :meth:`ensure`;
+    every later request for that key (a slot a step reads back, a scratch
+    buffer shared by the layers of one width) gets the same array, and must
+    ask for the same shape and dtype.
     """
 
-    __slots__ = ("dtype", "_slabs", "_views")
+    __slots__ = ("_buffers",)
 
-    def __init__(
-        self,
-        dtype: np.dtype,
-        slab_capacity: Sequence[int],
-        placements: Dict[object, Tuple[int, Tuple[int, ...], int]],
-    ) -> None:
-        self.dtype = np.dtype(dtype)
-        self._slabs = [np.empty(capacity, dtype=dtype) for capacity in slab_capacity]
-        self._views = {
-            key: self._slabs[slab][:elements].reshape(shape)
-            for key, (slab, shape, elements) in placements.items()
-        }
+    def __init__(self) -> None:
+        self._buffers: Dict[object, np.ndarray] = {}
 
     def get(self, key: object) -> Optional[np.ndarray]:
-        return self._views.get(key)
+        return self._buffers.get(key)
 
     def ensure(self, key: object, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        view = self._views.get(key)
-        if view is None:
-            raise ValueError(f"buffer {key!r} was not planned for this arena")
-        if view.shape != shape or view.dtype != dtype:
+        buffer = self._buffers.get(key)
+        if buffer is None:
+            buffer = self._buffers[key] = np.empty(shape, dtype=dtype)
+        elif buffer.shape != shape or buffer.dtype != dtype:
             raise ValueError(
-                f"buffer {key!r} already bound with shape {view.shape} "
-                f"({view.dtype}), requested {shape} ({dtype})"
+                f"buffer {key!r} already bound with shape {buffer.shape} "
+                f"({buffer.dtype}), requested {shape} ({dtype})"
             )
-        return view
-
-    @property
-    def num_slabs(self) -> int:
-        return len(self._slabs)
+        return buffer
 
     @property
     def num_buffers(self) -> int:
-        return len(self._views)
+        return len(self._buffers)
 
     @property
     def nbytes(self) -> int:
-        return sum(slab.nbytes for slab in self._slabs)
+        return sum(buffer.nbytes for buffer in self._buffers.values())
 
 
 class KernelStep:
@@ -246,16 +138,15 @@ class KernelStep:
 
     A step is *unbound* at lowering time (it knows its weights and slot
     names, not the batch); :meth:`bind` specialises it to one
-    ``(EdgePlan, dtype)``.  Binding runs twice per plan: once against the
-    :class:`_BufferPlanner` (recording buffer shapes and liveness) and once
-    against the built :class:`Arena`, whose thunks — zero-argument
-    callables closing over the bound views — feed the flat execution loop.
+    ``(EdgePlan, dtype)``.  Binding runs once per plan, against the plan's
+    :class:`Arena`; the thunks it returns — zero-argument callables closing
+    over the bound buffers — feed the flat execution loop.
     """
 
     def bind(
         self,
         plan: EdgePlan,
-        buffers,
+        buffers: Arena,
         dtype: np.dtype,
         inputs: _EncoderInputs,
     ) -> List[Callable[[], None]]:
@@ -389,8 +280,8 @@ class RGCNStep(KernelStep):
             (schedules[r].rounds().num_rows + 1 for r in active), default=0
         )
         # Scatter accumulator + rounds workspace, shared across this step's
-        # relations (they run sequentially) and, via the arena's liveness
-        # assignment, across every RGCN step of the program.
+        # relations (they run sequentially) and, through their arena keys,
+        # across every RGCN step of the same width.
         scattered = _buffer(buffers, ("rgcn_scattered", out_ch), (num_nodes, out_ch), dtype)
         ws_gather = _buffer(buffers, ("rgcn_ws_gather", out_ch), (rows_ws, out_ch), dtype)
 
@@ -471,7 +362,7 @@ class MeanPoolStep(KernelStep):
     The reciprocal node counts are precomputed per plan at bind time
     (``(1 / max(counts, 1))`` in the feature dtype — exactly the column
     :func:`repro.nn.pooling.global_mean_pool` rebuilds per forward), and
-    the per-graph sums land in a planned arena buffer.
+    the per-graph sums land in an arena buffer.
     """
 
     def __init__(self, in_slot: str, out_slot: str = POOLED_SLOT) -> None:
@@ -518,12 +409,10 @@ class MeanPoolStep(KernelStep):
 class _BoundEncoder:
     """An encoder program specialised to one ``(EdgePlan, dtype)``.
 
-    Construction is the two-pass bind: a liveness pass over the steps
-    records every buffer request into a :class:`_BufferPlanner`, the
-    planner packs disjoint-lifetime buffers into shared slabs
-    (:class:`Arena`), and a second pass binds the real thunks against the
-    arena views.  :meth:`run` is just "set the two integer inputs, execute
-    the flat list".
+    Construction binds every step once, in order, against a fresh
+    :class:`Arena`: a step's first request for a buffer key allocates it,
+    and later steps naming the same key share it.  :meth:`run` is just "set
+    the two integer inputs, execute the flat list".
     """
 
     __slots__ = ("_thunks", "_inputs", "_pooled", "_num_nodes", "arena")
@@ -531,19 +420,14 @@ class _BoundEncoder:
     def __init__(
         self, steps: Sequence[KernelStep], plan: EdgePlan, dtype: np.dtype
     ) -> None:
-        planner = _BufferPlanner(dtype)
+        self.arena = Arena()
         self._inputs = _EncoderInputs()
-        for step in steps:
-            planner.begin_step()
-            step.bind(plan, planner, dtype, self._inputs)
-        if planner.get(POOLED_SLOT) is None:
-            raise ValueError("encoder lowering produced no 'pooled' slot")
-        planner.pin(POOLED_SLOT)
-        self.arena = planner.build_arena()
         self._thunks: List[Callable[[], None]] = []
         for step in steps:
             self._thunks.extend(step.bind(plan, self.arena, dtype, self._inputs))
         self._pooled = self.arena.get(POOLED_SLOT)
+        if self._pooled is None:
+            raise ValueError("encoder lowering produced no 'pooled' slot")
         self._num_nodes = plan.num_nodes
 
     def run(self, token_ids: np.ndarray, node_types: np.ndarray) -> np.ndarray:
@@ -566,19 +450,12 @@ class DenseStep:
     The head binds per *row count* rather than per plan (batch sizes vary
     per query: R regions × C caps), writing the product into a
     :class:`_HeadWorkspace` output with the bias added in place — same
-    values as the tensor path.  :meth:`apply` keeps the allocating
-    single-layer form for callers outside the workspace loop.
+    values as the tensor path.
     """
 
     def __init__(self, weight: np.ndarray, bias: Optional[np.ndarray]) -> None:
         self.weight = weight
         self.bias = bias
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight
-        if self.bias is not None:
-            out += self.bias
-        return out
 
     def apply_into(
         self, x: np.ndarray, out: np.ndarray, bias_full: Optional[np.ndarray] = None
@@ -783,7 +660,7 @@ class InferenceProgram:
     the arrays it was compiled from (the model's own at the model's dtype,
     copies cast once at another) and reproduces the ``Module`` inference
     path bit for bit (at float32, the ``Module`` under
-    :func:`~repro.nn._scatter.reference_kernels`); arenas are planned lazily per
+    :func:`~repro.nn._scatter.reference_kernels`); arenas are bound lazily per
     ``(EdgePlan, dtype)`` and reused across calls, so interleaving batches
     of different sizes is safe — each plan owns its own arena.
     """
@@ -821,7 +698,6 @@ class InferenceProgram:
         encoders = list(self._bound.values())
         return {
             "bound_plans": len(encoders),
-            "arena_slabs": sum(encoder.arena.num_slabs for encoder in encoders),
             "arena_buffers": sum(encoder.arena.num_buffers for encoder in encoders),
             "arena_bytes": sum(encoder.arena.nbytes for encoder in encoders),
             "head_workspaces": self.head.num_workspaces,

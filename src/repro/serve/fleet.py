@@ -970,7 +970,6 @@ class LocalFleet:
         tuner: PnPTuner,
         num_nodes: int = 2,
         dtypes: Sequence[str] = (),
-        start_method: Optional[str] = None,
         connect_timeout: Optional[float] = 60.0,
         heartbeat_interval: Optional[float] = 2.0,
         ping_timeout: float = 5.0,
@@ -981,9 +980,7 @@ class LocalFleet:
     ) -> None:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
-        self._context = multiprocessing.get_context(
-            start_method or default_start_method()
-        )
+        self._context = multiprocessing.get_context(default_start_method())
         self._processes: List[Optional[multiprocessing.process.BaseProcess]] = []
         self.addresses: List[Tuple[str, int]] = []
         #: Real node endpoints (``addresses`` holds the proxy endpoint for

@@ -67,6 +67,7 @@ unretried, and leaves the node serving.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import functools
 import itertools
 import threading
@@ -205,6 +206,11 @@ class Gateway:
         self._node_calls: Dict[int, int] = {}
         self._window_timer: Optional[asyncio.TimerHandle] = None
         self._latencies: List[float] = []  # recent node round trips (bounded)
+        # The same round trips in ascending order, and the two ranks the
+        # batcher and the hedger read, both kept by ``_record_latency``.
+        self._ordered_latencies: List[float] = []
+        self._median_latency = 0.0
+        self._hedge_latency = 0.0
         self._request_ids = itertools.count()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake: Optional[asyncio.Event] = None
@@ -712,26 +718,34 @@ class Gateway:
             pending.future.set_exception(error)
 
     def _record_latency(self, seconds: float) -> None:
+        """Keep a round trip, and the median and hedge rank of the window.
+
+        The ranks are read once per batcher pass and once per batch, so they
+        are computed here, once per answer, from a sorted copy of the window
+        that each record updates in place.
+        """
         self._latencies.append(seconds)
         if len(self._latencies) > 512:
             del self._latencies[: len(self._latencies) - 256]
+            self._ordered_latencies = sorted(self._latencies)
+        else:
+            bisect.insort(self._ordered_latencies, seconds)
+        ordered = self._ordered_latencies
+        rank = min(
+            len(ordered) - 1, int(len(ordered) * self.HEDGE_PERCENTILE / 100.0)
+        )
+        self._median_latency = ordered[len(ordered) // 2]
+        self._hedge_latency = ordered[rank]
 
     def _expected_latency(self) -> float:
         """Observed median node round trip (0 until the first answer)."""
-        if not self._latencies:
-            return 0.0
-        ordered = sorted(self._latencies)
-        return ordered[len(ordered) // 2]
+        return self._median_latency
 
     def _hedge_delay(self) -> float:
         """How long to wait on a node before hedging: pXX with a floor."""
         if not self._latencies:
             return self._hedge_floor
-        ordered = sorted(self._latencies)
-        rank = min(
-            len(ordered) - 1, int(len(ordered) * self.HEDGE_PERCENTILE / 100.0)
-        )
-        return max(self._hedge_floor, ordered[rank])
+        return max(self._hedge_floor, self._hedge_latency)
 
     def stats(self) -> Dict[str, object]:
         """The gateway's counters plus its queue depth and degraded mode."""

@@ -1,5 +1,4 @@
-"""Experiment plumbing: cross-validation with a train hook, and sweeps
-sharded over a fleet.
+"""Experiment plumbing: region sweeps sharded over a fleet.
 
 Sharding is a wall-clock decision only — it must return exactly the
 selections of the serial loop.
@@ -7,13 +6,11 @@ selections of the serial loop.
 
 import pytest
 
-from repro.core.dataset import TuningScenario
 from repro.core.model import ModelConfig
 from repro.core.training import TrainingConfig
 from repro.core.tuner import PnPTuner
 from repro.experiments.common import (
     experiment_builder,
-    pnp_cross_validated_selections,
     sharded_performance_selections,
 )
 from repro.experiments.profiles import smoke_profile
@@ -28,28 +25,6 @@ def profile():
 @pytest.fixture(scope="module")
 def builder(profile):
     return experiment_builder("haswell", profile)
-
-
-class TestFoldParallelCrossValidation:
-    def test_train_hook_falls_back_to_serial(self, builder, profile):
-        samples = builder.performance_samples()
-        hook_calls = []
-
-        def hook(model, train):
-            hook_calls.append(len(train))
-            return None
-
-        selections = pnp_cross_validated_selections(
-            builder,
-            samples,
-            profile,
-            TuningScenario.PERFORMANCE,
-            include_counters=False,
-            optimizer="adamw",
-            train_hook=hook,
-        )
-        assert hook_calls  # the hook ran
-        assert selections
 
 
 class TestShardedRegionLoop:

@@ -1,8 +1,8 @@
-"""The zero-allocation serving hot path (index-ordered scatter + arena plan).
+"""The zero-allocation serving hot path (index-ordered scatter + per-plan arena).
 
 The contract under test: a warm ``predict`` through the compiled
 :class:`InferenceProgram` allocates no numpy array — every intermediate
-lands in the memory plan's arena slabs or a head workspace — while its
+lands in its plan's arena buffers or a head workspace — while its
 scatter kernel stays bit-identical to ``np.add.at`` at float64 and float32
 (and to the autograd path's bincount kernel at float64).
 
@@ -287,15 +287,48 @@ class TestSchedules:
 
 
 class TestMemoryPlan:
-    def test_arena_packs_buffers_into_fewer_slabs(self, vocabulary, suite_samples):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_each_step_binds_once_per_plan(self, vocabulary, suite_samples, dtype):
+        model = _model(vocabulary, dtype)
+        program = model.compile_inference()
+        calls = []
+        for index, step in enumerate(program.encoder_steps):
+
+            def counted(plan, *args, _bind=step.bind, _index=index):
+                calls.append((_index, plan))
+                return _bind(plan, *args)
+
+            step.bind = counted
+        held = collate_graphs(suite_samples[:4])
+        other = collate_graphs(suite_samples[4:6])
+        for batch in (held, other, held, other):
+            program.predict(batch)
+        plans = [
+            batch.edge_plan(program.num_relations, dtype=program.dtype)
+            for batch in (held, other)
+        ]
+        expected = [
+            (index, plan)
+            for plan in plans
+            for index in range(len(program.encoder_steps))
+        ]
+        assert calls == expected
+
+    def test_arena_holds_one_buffer_per_key(self, vocabulary, suite_samples):
         model = _model(vocabulary, "float64")
         program = model.compile_inference()
         batch = collate_graphs(suite_samples[:4])  # keep the plan alive:
         program.predict(batch)  # _bound weak-keys on the batch's EdgePlan
         stats = program.buffer_stats()
+        assert "arena_slabs" not in stats
         assert stats["bound_plans"] == 1
-        assert 0 < stats["arena_slabs"] < stats["arena_buffers"]
-        assert stats["arena_bytes"] > 0
+        plan = batch.edge_plan(program.num_relations, dtype=program.dtype)
+        buffers = list(program._bound[plan].arena._buffers.values())
+        assert stats["arena_buffers"] == len(buffers)
+        assert stats["arena_bytes"] == sum(buffer.nbytes for buffer in buffers) > 0
+        for index, buffer in enumerate(buffers):  # no two keys share memory
+            for other in buffers[index + 1 :]:
+                assert not np.shares_memory(buffer, other)
         assert stats["head_workspaces"] >= 1
         assert stats["head_bytes"] > 0
 

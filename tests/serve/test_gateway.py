@@ -13,6 +13,7 @@ through pause/kill/kill-all churn and asserts byte-identity with serial
 
 import asyncio
 import dataclasses
+import random
 import threading
 import time
 
@@ -525,6 +526,25 @@ class TestHedging:
             assert gateway.stats()["hedges"] == 0
 
         run(scenario())
+
+    def test_latency_ranks_follow_the_trimmed_window(self):
+        """The stored median and hedge rank equal a sort of the window."""
+        gateway = Gateway(FakeClient(num_nodes=2), hedge_delay_floor=0.01)
+        assert gateway._expected_latency() == 0.0
+        assert gateway._hedge_delay() == 0.01
+        rng = random.Random(0)
+        window = []
+        for _ in range(1200):  # crosses the 512 -> 256 trim three times
+            seconds = rng.choice([rng.uniform(0.0, 0.03), rng.uniform(0.0, 0.2)])
+            gateway._record_latency(seconds)
+            window.append(seconds)
+            if len(window) > 512:
+                window = window[-256:]
+            ordered = sorted(window)
+            rank = min(len(ordered) - 1, int(len(ordered) * 95.0 / 100.0))
+            assert gateway._latencies == window
+            assert gateway._expected_latency() == ordered[len(ordered) // 2]
+            assert gateway._hedge_delay() == max(0.01, ordered[rank])
 
 
 # ------------------------------------------------------------- node failures
