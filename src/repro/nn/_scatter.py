@@ -26,7 +26,7 @@ schedules below.  Two kernels ship, one per owner of the output buffer:
     per-segment ordered reduce instead.  With a :class:`ScatterWorkspace`
     supplied, the kernel performs **zero** array allocations; the compiled
     inference runtime (:mod:`repro.nn.inference`) always runs it on
-    workspaces planned into its arena.
+    workspaces held in its arena.
 
 ``reference_kernels()`` switches the module back to the ``np.add.at`` path;
 ``benchmarks/floors.py`` uses it to time the seed implementation without

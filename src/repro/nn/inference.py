@@ -100,9 +100,9 @@ class Arena:
     """The buffers of one ``(EdgePlan, dtype)`` binding, one array per key.
 
     A key's ``np.empty`` array is allocated by its first :meth:`ensure`;
-    every later request for that key (a slot a step reads back, a scratch
-    buffer shared by the layers of one width) gets the same array, and must
-    ask for the same shape and dtype.
+    every later request for that key (a slot a later step writes again, a
+    scratch buffer shared by the layers of one width) gets the same array,
+    and must ask for the same shape and dtype.
     """
 
     __slots__ = ("_buffers",)
