@@ -19,11 +19,13 @@ Eight ratios, each of a fast path against a reference kept in-tree:
   novel-region path (graph build, collate, encode, head).
 
 A ratio is the reference's best time over the fast path's, both taken
-over interleaved rounds so that load drift hits both sides; the micro tier
-compares medians per call instead, and ``scatter_mp_float32`` takes the
-median of per-round ratios: its memory-bound layer swings with the load
+over interleaved rounds so that load drift hits both sides;
+``scatter_mp_float32`` and ``micromodel`` take the median of per-round
+ratios instead.  The float32 layer is memory-bound and swings with the load
 neighbours put on the memory bus, which moves a best-of ratio by more than
-the float32 margin over the floor.  Before timing, ``cap_sweep``,
+the float32 margin over the floor; a micro-tier call is so short that a
+slow spell of the host covering only one side moved a ratio of separately
+timed sides by up to 2x.  Before timing, ``cap_sweep``,
 ``sweep_many`` and ``inference_runtime`` check that both sides give the
 same answers.  The run prints one line per floor and exits 1 when any
 ratio falls below its floor::
@@ -98,32 +100,29 @@ def _best_times(
 
 
 def _median_ratio(
-    reference: Callable[[], object], fast: Callable[[], object], rounds: int
+    reference: Callable[[], object],
+    fast: Callable[[], object],
+    rounds: int,
+    reference_calls: int = 1,
+    fast_calls: int = 1,
 ) -> float:
-    """Median over ``rounds`` of the reference's time over the fast path's.
+    """Median over ``rounds`` of the reference's time per call over the fast
+    path's.
 
-    Each round times both back to back, alternating which runs first.
+    Each round times both back to back, ``*_calls`` calls each, alternating
+    which runs first.
     """
     ratios = []
     for index in range(rounds):
-        times = {}
-        for side in (reference, fast) if index % 2 == 0 else (fast, reference):
+        per_call = {}
+        sides = ((reference, reference_calls), (fast, fast_calls))
+        for side, calls in sides if index % 2 == 0 else sides[::-1]:
             start = time.perf_counter()
-            side()
-            times[side] = time.perf_counter() - start
-        ratios.append(times[reference] / times[fast])
+            for _ in range(calls):
+                side()
+            per_call[side] = (time.perf_counter() - start) / calls
+        ratios.append(per_call[reference] / per_call[fast])
     return statistics.median(ratios)
-
-
-def _median_per_call(run: Callable[[], object], reps: int, rounds: int) -> float:
-    """Median over ``rounds`` of the mean time of ``reps`` back-to-back calls."""
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(reps):
-            run()
-        times.append((time.perf_counter() - start) / reps)
-    return statistics.median(times)
 
 
 class _ReferenceMode:
@@ -266,7 +265,7 @@ def inference_runtime(tuner, regions, caps) -> float:
         ]
     )
     aux = np.tile(
-        tuner.builder.aux_feature_matrix(regions[0].region_id, caps),
+        tuner.builder.aux_feature_matrix(regions[0], caps),
         (len(regions), 1),
     )
     model = tuner.model
@@ -308,12 +307,14 @@ def micromodel(tuner) -> float:
         tuner.predict_sweep(region, [cap])
 
     runtime.predict_sweep(region, [cap])  # bind programs, buffers and the head
-    micro_s = _median_per_call(
-        lambda: runtime.predict_sweep(region, [cap]), 100, rounds=4
-    )
     tuner.predict_sweep(region, [cap])  # compile outside the timed loop
-    gnn_s = _median_per_call(gnn, 10, rounds=4)
-    return gnn_s / micro_s
+    return _median_ratio(
+        gnn,
+        lambda: runtime.predict_sweep(region, [cap]),
+        rounds=8,
+        reference_calls=10,
+        fast_calls=100,
+    )
 
 
 def scatter_mp() -> Tuple[float, float]:

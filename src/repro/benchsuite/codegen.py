@@ -15,9 +15,7 @@ operations — which is the signal the model needs.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.ir import IRBuilder, Function, Module
 from repro.ir import types as irt
@@ -31,7 +29,13 @@ __all__ = [
     "generate_application_module",
     "region_function_name",
     "scaled_region_counts",
+    "structure_key",
 ]
+
+#: The largest integer literal the generator emits besides the loop trip
+#: count: ``IRBuilder.counted_loop`` emits 0 and 1, the integer chain of the
+#: loop body 1 to 5.
+_LARGEST_OTHER_INT_LITERAL = 5
 
 
 def region_function_name(region: RegionCharacteristics) -> str:
@@ -74,6 +78,41 @@ def scaled_region_counts(region: RegionCharacteristics) -> Dict[str, int]:
     }
 
 
+def _ends_with_barrier(region: RegionCharacteristics, seed: int) -> bool:
+    """Whether the outlined function of ``region`` ends in ``__kmpc_barrier``.
+
+    A region with atomics always does; any other on a draw seeded by its id.
+    """
+    return (
+        region.atomics_per_iteration > 0
+        or new_rng(seed, f"codegen/{region.region_id}").random() < 0.3
+    )
+
+
+def structure_key(region: RegionCharacteristics, seed: int = 0) -> Tuple:
+    """Exact key of the graph :func:`generate_region_function` emits.
+
+    The key is the generator's complete input: the structural counts of
+    :func:`scaled_region_counts` and whether the function ends in a barrier.
+    Nothing else of ``region`` reaches the code graph (its id and
+    application only name the function), so regions with equal keys at one
+    ``seed`` lower to graphs with identical tokens, node kinds and edges,
+    and share one GNN embedding.  It is computed without building the IR.
+
+    The trip count is the one count the graph does not show exactly.  Equal
+    literals share a constant node, so a trip of at most
+    ``_LARGEST_OTHER_INT_LITERAL`` can merge with another literal and stays
+    exact; a larger one shows only as its magnitude token
+    (:func:`repro.graphs.programl.constant_token`), so it enters the key as
+    its bit length.
+    """
+    counts = scaled_region_counts(region)
+    trip = counts["per_dim_trip"]
+    if trip > _LARGEST_OTHER_INT_LITERAL:
+        counts["per_dim_trip"] = f"~2^{trip.bit_length()}"
+    return (*counts.values(), _ends_with_barrier(region, seed))
+
+
 def generate_region_function(
     module: Module, region: RegionCharacteristics, seed: int = 0
 ) -> Function:
@@ -82,7 +121,6 @@ def generate_region_function(
     The function signature mirrors Clang's outlining convention: a thread-id
     pointer, a bound-thread-id pointer, then captured array arguments.
     """
-    rng = new_rng(seed, f"codegen/{region.region_id}")
     name = region_function_name(region)
 
     double_ptr = irt.ptr(irt.f64())
@@ -188,7 +226,7 @@ def generate_region_function(
     )
 
     builder.call("__kmpc_for_static_fini", irt.void(), [tid])
-    if region.atomics_per_iteration > 0 or rng.random() < 0.3:
+    if _ends_with_barrier(region, seed):
         builder.call("__kmpc_barrier", irt.void(), [tid])
     builder.ret()
     return function

@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.benchsuite.codegen import generate_application_module, region_function_name
+from repro.benchsuite.codegen import (
+    generate_application_module,
+    region_function_name,
+    structure_key,
+)
 from repro.benchsuite.registry import regions_by_application
 from repro.core.measurements import MeasurementDatabase
 from repro.core.search_space import SearchSpace
@@ -39,9 +43,9 @@ __all__ = ["TuningScenario", "LabeledSample", "DatasetBuilder"]
 
 _LOG = get_logger("core.dataset")
 
-#: How many never-seen regions (ids outside a builder's suite) keep their
-#: per-region state between queries, least recently used out first.  Sized
-#: like :attr:`repro.core.tuner.PnPTuner.EMBEDDING_CACHE_SIZE`.
+#: How many graph structures of never-seen regions (ids outside a builder's
+#: suite) keep their encoded sample between queries, least recently used out
+#: first.  Sized like :attr:`repro.core.tuner.PnPTuner.EMBEDDING_CACHE_SIZE`.
 NOVEL_REGION_CACHE_SIZE = 512
 
 
@@ -69,24 +73,25 @@ class LabeledSample:
 
 @dataclass(eq=False)
 class _RegionState:
-    """What a builder keeps of one region between queries."""
+    """What a builder keeps of one suite region between queries."""
 
-    fingerprint: str  # content the graph, sample and counters derive from
+    key: Tuple  # structure key of the region's current graph
     sample: Optional[GraphSample] = None  # structural: label- and aux-free
-    counters: Optional[np.ndarray] = None  # normalised PAPI counters
 
 
 class DatasetBuilder:
     """Builds graph datasets for the two tuning scenarios.
 
     Suite regions keep their flow graphs (:meth:`region_graphs`) for
-    training.  A never-seen region queried through :meth:`inference_sample`
-    keeps only its small per-region state — content fingerprint, encoded
-    structural sample, PAPI counters — in an LRU of
-    :data:`NOVEL_REGION_CACHE_SIZE` entries, and its graph is dropped once
-    encoded, so serving memory follows the working set rather than every
-    region seen.  An evicted region is rebuilt on its next query with the
-    same result.  Its registration in the measurement database stays.
+    training.  Never-seen regions queried through :meth:`inference_sample`
+    share encoded samples by graph structure (:meth:`structure_key`): one
+    LRU of :data:`NOVEL_REGION_CACHE_SIZE` label-free samples, keyed by
+    structure, so a region whose structure was seen before skips code
+    generation, graph build and encoding, and serving memory follows the
+    working set of structures rather than every region seen.  An evicted
+    structure is rebuilt on its next query with the same result.  Inference
+    never registers a region in the measurement database: PAPI counters are
+    profiled from the region itself.
 
     Parameters
     ----------
@@ -130,14 +135,14 @@ class DatasetBuilder:
         )
         self.seed = seed
         self._graphs: Optional[Dict[str, FlowGraph]] = None
-        # Per-region state by id, suite regions for good and never-seen ones
-        # in the LRU.  The fingerprint catches a region re-submitted under
-        # the same id with different characteristics: its graph, sample and
-        # counters are rebuilt instead of serving the stale structure.  The
-        # sample is memoised because vocabulary encoding is a Python token
-        # loop that cold sweeps over many regions shouldn't pay per query.
+        # Suite regions keep their state by id for good; the structure key
+        # catches one re-submitted under its id with a different structure,
+        # whose graph and sample are rebuilt instead of serving the stale
+        # one.  Never-seen regions share samples by structure key.  Samples
+        # are memoised because vocabulary encoding is a Python token loop
+        # that cold sweeps over many regions shouldn't pay per query.
         self._suite_state: Dict[str, _RegionState] = {}
-        self._novel_state = LRUCache(maxsize=NOVEL_REGION_CACHE_SIZE)
+        self._novel_samples = LRUCache(maxsize=NOVEL_REGION_CACHE_SIZE)
 
     # ---------------------------------------------------------------- graphs
     def region_graphs(self) -> Dict[str, FlowGraph]:
@@ -157,7 +162,9 @@ class DatasetBuilder:
                 graphs[region.region_id] = build_flow_graph(
                     outlined[function_name], name=region.region_id
                 )
-                self._suite_state[region.region_id] = _RegionState(region.fingerprint())
+                self._suite_state[region.region_id] = _RegionState(
+                    self.structure_key(region)
+                )
         self._graphs = graphs
         _LOG.info("built %d region graphs", len(graphs))
         return graphs
@@ -173,29 +180,27 @@ class DatasetBuilder:
     def applications(self) -> List[str]:
         return list(self._regions_by_app)
 
+    def structure_key(self, region: RegionCharacteristics) -> Tuple:
+        """:func:`repro.benchsuite.codegen.structure_key` at this builder's seed.
+
+        Regions with equal keys get byte-equal encoded samples from
+        :meth:`inference_sample` (up to their ids and auxiliary features).
+        """
+        return structure_key(region, self.seed)
+
     # -------------------------------------------------------------- counters
-    def performance_counters(self, region_id: str) -> np.ndarray:
-        """Normalised PAPI counters of a region (profiled at the default config).
+    def performance_counters(self, region: RegionCharacteristics) -> np.ndarray:
+        """Normalised PAPI counters of ``region`` (profiled at the default config).
 
         The paper's dynamic variant needs two profiling executions per region
         at inference time; here the counters are deterministic functions of
-        the region and machine, profiled once and kept with the region's
-        state (re-profiled, with the same result, once that is evicted).
+        the region and machine, profiled from the region itself on every
+        call (tens of microseconds), so the region need not be registered in
+        the measurement database.
         """
-        state = self._region_state(region_id)
-        if state is not None and state.counters is not None:
-            return state.counters
-        counters = self.database.engine.profile_counters(
-            self.database.region(region_id), self.search_space.default_configuration
+        return self.database.engine.profile_counters(
+            region, self.search_space.default_configuration
         ).normalized()
-        if state is not None:
-            state.counters = counters
-        return counters
-
-    def _region_state(self, region_id: str) -> Optional[_RegionState]:
-        """The kept state of a region: ``None`` if never seen or evicted."""
-        state = self._suite_state.get(region_id)
-        return state if state is not None else self._novel_state.get(region_id)
 
     # --------------------------------------------------------------- samples
     def performance_samples(
@@ -211,7 +216,7 @@ class DatasetBuilder:
             for region in regions:
                 for cap in caps:
                     label = self.database.label_by_time(region.region_id, cap)
-                    aux = self._aux_features(region.region_id, cap, include_counters)
+                    aux = self._aux_features(region, cap, include_counters)
                     graph_sample = self.encoder.encode(
                         graphs[region.region_id],
                         label=label,
@@ -239,7 +244,7 @@ class DatasetBuilder:
         for application, regions in self._regions_by_app.items():
             for region in regions:
                 label = self.database.label_by_edp(region.region_id)
-                aux = self._edp_aux_features(region.region_id, include_counters)
+                aux = self._edp_aux_features(region, include_counters)
                 graph_sample = self.encoder.encode(
                     graphs[region.region_id],
                     label=label,
@@ -267,43 +272,26 @@ class DatasetBuilder:
     ) -> LabeledSample:
         """Build an unlabeled sample for a (possibly unseen) region.
 
-        Region state is kept per region id *and* content fingerprint: a
-        region re-submitted under a known id with changed characteristics
-        gets a freshly generated graph (and its cached PAPI counters
-        dropped), and the measurement database's registration is updated,
-        so no stale structure leaks into the prediction.  A suite region's
-        new graph replaces its entry in :meth:`region_graphs`; a never-seen
-        region's graph is dropped once encoded (see the class docstring).
+        The graph part is shared by structure (:meth:`structure_key`): a
+        never-seen region whose structure was queried before reuses that
+        encoded sample, and a suite region re-submitted under its id with a
+        different structure gets a freshly generated graph, which replaces
+        its entry in :meth:`region_graphs`, so no stale structure leaks into
+        the prediction.  The sample carries this region's id and auxiliary
+        features, exactly as a fresh ``encoder.encode`` call would build it.
+        The measurement database is not touched.
         """
-        graphs = self.region_graphs()
-        fingerprint = region.fingerprint()
-        state = self._region_state(region.region_id)
-        if state is None or state.fingerprint != fingerprint:
-            module = generate_application_module(region.application, [region], seed=self.seed)
-            outlined = extract_outlined_regions(module)
-            graph = build_flow_graph(outlined[region_function_name(region)], name=region.region_id)
-            sample = self.encoder.encode(graph, label=-1, region_id=region.region_id)
-            state = _RegionState(fingerprint, sample)
-            if region.region_id in graphs:
-                graphs[region.region_id] = graph
-                self._suite_state[region.region_id] = state
-            else:
-                self._novel_state.put(region.region_id, state)
-            self.database.add_region(region)
-        elif state.sample is None:  # a suite region's first inference query
-            state.sample = self.encoder.encode(
-                graphs[region.region_id], label=-1, region_id=region.region_id
-            )
         if scenario == TuningScenario.PERFORMANCE:
             if power_cap is None:
                 raise ValueError("power_cap is required for the performance scenario")
-            aux = self._aux_features(region.region_id, power_cap, include_counters)
+            aux = self._aux_features(region, power_cap, include_counters)
         else:
-            aux = self._edp_aux_features(region.region_id, include_counters)
-        # Per-query sample: the memoised index arrays by reference, the
-        # query's auxiliary features attached — exactly the sample a fresh
-        # ``encoder.encode`` call would build.
-        graph_sample = replace(state.sample, aux_features=aux)
+            aux = self._edp_aux_features(region, include_counters)
+        # The memoised index arrays by reference, the query's id and
+        # auxiliary features attached.
+        graph_sample = replace(
+            self._structural_sample(region), aux_features=aux, region_id=region.region_id
+        )
         return LabeledSample(
             sample=graph_sample,
             region_id=region.region_id,
@@ -312,10 +300,38 @@ class DatasetBuilder:
             power_cap=power_cap,
         )
 
+    def _structural_sample(self, region: RegionCharacteristics) -> GraphSample:
+        """The label- and aux-free encoded sample of ``region``'s graph."""
+        graphs = self.region_graphs()
+        key = self.structure_key(region)
+        state = self._suite_state.get(region.region_id)
+        if state is None:
+            sample = self._novel_samples.get(key)
+            if sample is None:
+                sample = self.encoder.encode(
+                    self._build_graph(region), region_id=region.region_id
+                )
+                self._novel_samples.put(key, sample)
+            return sample
+        if state.key != key:  # re-submitted under a suite id, restructured
+            graphs[region.region_id] = self._build_graph(region)
+            state = self._suite_state[region.region_id] = _RegionState(key)
+        if state.sample is None:  # the region's first inference query
+            state.sample = self.encoder.encode(
+                graphs[region.region_id], region_id=region.region_id
+            )
+        return state.sample
+
+    def _build_graph(self, region: RegionCharacteristics) -> FlowGraph:
+        """Generate, outline and lower ``region`` on its own."""
+        module = generate_application_module(region.application, [region], seed=self.seed)
+        outlined = extract_outlined_regions(module)
+        return build_flow_graph(outlined[region_function_name(region)], name=region.region_id)
+
     # -------------------------------------------------------- feature vectors
     def aux_feature_matrix(
         self,
-        region_id: str,
+        region: RegionCharacteristics,
         power_caps: Sequence[float],
         include_counters: bool = False,
     ) -> np.ndarray:
@@ -323,21 +339,25 @@ class DatasetBuilder:
 
         Used by :meth:`repro.core.tuner.PnPTuner.predict_sweep` to batch all
         cap candidates through the dense head after a single graph encoding.
+        The counters, when included, are profiled once for all rows.
         """
-        return np.stack(
-            [self._aux_features(region_id, cap, include_counters) for cap in power_caps]
+        counters = self.performance_counters(region).tolist() if include_counters else []
+        return np.asarray(
+            [[self.search_space.normalized_cap(cap), *counters] for cap in power_caps],
+            dtype=precision.get_default_dtype(),
         )
 
-    def edp_aux_features(self, region_id: str, include_counters: bool = False) -> np.ndarray:
+    def edp_aux_features(
+        self, region: RegionCharacteristics, include_counters: bool = False
+    ) -> np.ndarray:
         """Auxiliary feature row of one EDP-scenario query.
 
         Used by the tuner's warm ``predict`` path: when a region's pooled
-        embedding is already cached (same id *and* content fingerprint), the
-        aux row is the only per-query input left, so the full inference
-        sample need not be rebuilt.  Requires the region to be registered
-        (any cold query on it registers it first).
+        embedding is already cached (same graph structure), the aux row is
+        the only per-query input left, so the full inference sample need
+        not be rebuilt.
         """
-        return self._edp_aux_features(region_id, include_counters)
+        return self._edp_aux_features(region, include_counters)
 
     def aux_feature_dim(self, scenario: TuningScenario, include_counters: bool) -> int:
         """Dimensionality of the auxiliary feature vector for a scenario."""
@@ -369,18 +389,22 @@ class DatasetBuilder:
             edps.extend(r.edp for r in self.database.sweep_region(region_id, cap))
         return self._soft_distribution(np.array(edps))
 
-    def _aux_features(self, region_id: str, cap: float, include_counters: bool) -> np.ndarray:
+    def _aux_features(
+        self, region: RegionCharacteristics, cap: float, include_counters: bool
+    ) -> np.ndarray:
         features = [self.search_space.normalized_cap(cap)]
         if include_counters:
-            features.extend(self.performance_counters(region_id).tolist())
+            features.extend(self.performance_counters(region).tolist())
         # Ingest boundary: auxiliary features adopt the active policy dtype.
         return np.asarray(features, dtype=precision.get_default_dtype())
 
-    def _edp_aux_features(self, region_id: str, include_counters: bool) -> np.ndarray:
+    def _edp_aux_features(
+        self, region: RegionCharacteristics, include_counters: bool
+    ) -> np.ndarray:
         # The EDP model chooses the cap itself; its auxiliary input carries a
         # constant bias slot (so static and dynamic variants share the code
         # path) plus, optionally, the counters.
         features = [1.0]
         if include_counters:
-            features.extend(self.performance_counters(region_id).tolist())
+            features.extend(self.performance_counters(region).tolist())
         return np.asarray(features, dtype=precision.get_default_dtype())

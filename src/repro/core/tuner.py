@@ -21,18 +21,20 @@ with ``include_counters=True`` the tuner additionally profiles the region
 once to collect its PAPI counters (the paper's "dynamic" variant).
 
 Inference uses the split encoder/head engine: the pooled graph embedding of
-each region (independent of the power cap and other auxiliary features) is
-computed once and held in an LRU cache keyed by (region id, content
-fingerprint, dtype), so repeated queries on a region — and in particular
-:meth:`PnPTuner.predict_sweep`, which scores many power caps in one
-dense-head batch — skip the GNN entirely after the first call.  Every
-serving program is compiled straight from ``tuner.model``, at any serving
-dtype.  One check guards both caches: every entry point compares the
-model's parameter arrays, by identity, against the snapshot the caches
-were built from, and a weight change of any kind (``fit``,
-``load_state_dict``, or a rebinding behind the tuner's back) flushes them.
-A region whose characteristics change under the same id misses the cache
-instead of serving a stale embedding.
+a region (independent of the power cap and other auxiliary features) is a
+function of its code graph alone, and the graph is a function of a few
+structural counts (:meth:`DatasetBuilder.structure_key`).  Embeddings are
+held in an LRU cache keyed by (structure key, dtype), computed without
+building the graph, so a repeated query on a region, and a never-seen
+region whose structure was encoded before, skip code generation, graph
+construction and the GNN: :meth:`PnPTuner.predict_sweep` then costs the key
+and one dense-head batch over its power caps.  Every serving program is
+compiled straight from ``tuner.model``, at any serving dtype.  One check
+guards both caches: every entry point compares the model's parameter
+arrays, by identity, against the snapshot the caches were built from, and a
+weight change of any kind (``fit``, ``load_state_dict``, or a rebinding
+behind the tuner's back) flushes them.  A region whose structure changes
+under the same id misses the cache instead of serving a stale embedding.
 
 :meth:`PnPTuner.predict_sweep_many` extends the amortisation across
 *regions*: all cache-miss graphs of a multi-region sweep are collated into
@@ -164,10 +166,8 @@ class PnPTuner:
         # results.
         self._served_arrays: Optional[List[np.ndarray]] = None
         # Pooled graph embeddings are independent of the auxiliary features,
-        # so repeated queries (and power-cap sweeps) on the same region reuse
-        # one GNN encoding.  Keys are (region id, content fingerprint,
-        # dtype) — the fingerprint catches a region whose characteristics
-        # change under the same id.
+        # so repeated queries (and power-cap sweeps) on regions of one graph
+        # structure reuse one GNN encoding.  Keys are (structure key, dtype).
         self._embedding_cache: LRUCache = LRUCache(maxsize=self.EMBEDDING_CACHE_SIZE)
         # Compiled inference programs (autograd-free raw-ndarray runtime),
         # keyed by serving dtype name, each compiled from self.model.
@@ -240,21 +240,26 @@ class PnPTuner:
 
     def _embedding_key(
         self, region: RegionCharacteristics, program: InferenceProgram
-    ) -> Tuple[str, str, str]:
-        """LRU key of a region's pooled embedding: (id, fingerprint, dtype)."""
-        return (region.region_id, region.fingerprint(), program.dtype.name)
+    ) -> Tuple[Tuple, str]:
+        """LRU key of a region's pooled embedding: (structure key, dtype).
+
+        :meth:`DatasetBuilder.structure_key` determines the region's encoded
+        graph exactly, so regions with equal keys share one embedding,
+        whatever their ids and other characteristics.
+        """
+        return (self.builder.structure_key(region), program.dtype.name)
 
     def predict(
         self, region: RegionCharacteristics, power_cap: Optional[float] = None
     ) -> TuningResult:
         """Tune one region (no execution of the region is required).
 
-        Point predictions share the fingerprint-keyed pooled-embedding cache
-        with the sweep entry points: a repeated query on an unchanged region
-        skips graph construction and the GNN entirely — the performance
-        objective delegates to :meth:`predict_sweep`, and the EDP warm path
-        rebuilds only the auxiliary feature row (a cache hit guarantees the
-        region was fully registered with these exact characteristics).
+        Point predictions share the structure-keyed pooled-embedding cache
+        with the sweep entry points: a query on a region whose graph
+        structure was encoded before skips graph construction and the GNN
+        entirely — the performance objective delegates to
+        :meth:`predict_sweep`, and the EDP path then builds only the
+        auxiliary feature row.
         """
         self._require_fitted()
         if self.objective == "time":
@@ -264,29 +269,12 @@ class PnPTuner:
         program = self._program_for(None)
         key = self._embedding_key(region, program)
         pooled = self._embedding_cache.get(key)
-        if pooled is not None and not self.include_counters:
-            # Static features: the EDP aux row is registration-independent,
-            # so a cached embedding answers the query without rebuilding the
-            # inference sample at all.
-            aux = self.builder.edp_aux_features(region.region_id)
-        else:
-            # Cold — or the dynamic variant, whose counters must come from
-            # *this* region version's registration: inference_sample
-            # re-registers a changed region before profiling, and the
-            # embedding cache still skips the encoder on a warm key.
-            sample = self.builder.inference_sample(
-                region,
-                power_cap=power_cap,
-                include_counters=self.include_counters,
-                scenario=self.scenario,
-            )
-            if pooled is None:
-                batch = collate_graphs([sample.sample])
-                pooled = program.encode_pooled(batch)
-                self._embedding_cache.put(key, pooled)
-            aux = sample.sample.aux_features
-        aux = aux[None, :] if aux is not None else None
-        label = int(program.predict_from_pooled(pooled, aux)[0])
+        if pooled is None:
+            sample = self.builder.inference_sample(region, scenario=self.scenario)
+            pooled = program.encode_pooled(collate_graphs([sample.sample]))
+            self._embedding_cache.put(key, pooled)
+        aux = self.builder.edp_aux_features(region, self.include_counters)
+        label = int(program.predict_from_pooled(pooled, aux[None, :])[0])
         return self._result_from_label(region.region_id, label, power_cap)
 
     def predict_sweep(
@@ -332,13 +320,14 @@ class PnPTuner:
         encoding is bit-identical to the per-region path (row-independent
         kernels; see ``tests/core/test_sweep_many.py``).
 
-        Duplicate regions (same id and content fingerprint) are encoded
-        once.  ``dtype`` overrides the serving precision exactly as in
-        :meth:`predict_sweep`.  The collated miss batch lives for this call
-        only: a set of never-seen regions does not repeat, so its
-        ``EdgePlan`` and the arena the compiled program binds to it are
-        freed on return, and only the pooled rows stay (in the bounded
-        embedding cache).
+        Regions of one graph structure (equal
+        :meth:`DatasetBuilder.structure_key`) are encoded once, in this call
+        and across calls while their embedding stays cached.  ``dtype``
+        overrides the serving precision exactly as in :meth:`predict_sweep`.
+        The collated miss batch lives for this call only: it holds only
+        structures the cache has not seen, so its ``EdgePlan`` and the arena
+        the compiled program binds to it are freed on return, and only the
+        pooled rows stay (in the bounded embedding cache).
         """
         self._require_fitted()
         if self.objective != "time":
@@ -357,9 +346,9 @@ class PnPTuner:
         keys = [self._embedding_key(region, program) for region in regions]
 
         # Collect the cache-miss regions (first occurrence of each key only).
-        miss_keys: List[Tuple[str, str, str]] = []
+        miss_keys: List[Tuple[Tuple, str]] = []
         miss_regions: List[RegionCharacteristics] = []
-        pooled_by_key: Dict[Tuple[str, str, str], np.ndarray] = {}
+        pooled_by_key: Dict[Tuple[Tuple, str], np.ndarray] = {}
         for region, key in zip(regions, keys):
             if key in pooled_by_key:
                 continue
@@ -372,14 +361,10 @@ class PnPTuner:
             pooled_by_key[key] = np.empty(0)  # placeholder, filled below
 
         if miss_keys:
+            # The encoder reads no auxiliary features: no counters needed.
             batch = collate_graphs(
                 [
-                    self.builder.inference_sample(
-                        region,
-                        power_cap=caps[0],
-                        include_counters=self.include_counters,
-                        scenario=self.scenario,
-                    ).sample
+                    self.builder.inference_sample(region, power_cap=caps[0]).sample
                     for region in miss_regions
                 ]
             )
@@ -398,15 +383,12 @@ class PnPTuner:
             # Static features: the aux rows carry only the normalised caps
             # and are identical for every region — build once, tile R times.
             aux = np.tile(
-                self.builder.aux_feature_matrix(regions[0].region_id, caps),
-                (len(regions), 1),
+                self.builder.aux_feature_matrix(regions[0], caps), (len(regions), 1)
             )
         else:
             aux = np.concatenate(
                 [
-                    self.builder.aux_feature_matrix(
-                        region.region_id, caps, include_counters=True
-                    )
+                    self.builder.aux_feature_matrix(region, caps, include_counters=True)
                     for region in regions
                 ]
             )
@@ -446,10 +428,10 @@ class PnPTuner:
         """
         if not self._fitted:
             raise RuntimeError("PnPTuner.predict called before fit()")
-        current = [param.data for param in self.model.parameters()]
-        if len(current) != len(self._served_arrays) or any(
-            array is not served
-            for array, served in zip(current, self._served_arrays)
+        params = self.model.parameters()  # cached flat list: no tree walk
+        served = self._served_arrays
+        if len(params) != len(served) or any(
+            param.data is not array for param, array in zip(params, served)
         ):
             self._flush_serving_caches()
 

@@ -37,6 +37,14 @@ class Module:
     discovered automatically for parameter iteration and serialization.
     """
 
+    #: Replaced by a new object whenever any module registers a parameter or
+    #: a sub-module.  Each module caches its flat parameter list with the
+    #: token current when it was walked, so one registration anywhere in a
+    #: tree invalidates every ancestor's list without parent links.  A token
+    #: is an object, not a count, so a list unpickled from another process
+    #: never matches this one's.
+    _registration_token: object = object()
+
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Tensor]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
@@ -46,14 +54,17 @@ class Module:
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Tensor) and value.requires_grad:
             self.__dict__.setdefault("_parameters", OrderedDict())[name] = value
+            Module._registration_token = object()
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
+            Module._registration_token = object()
         object.__setattr__(self, name, value)
 
     def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
         """Explicitly register a parameter under ``name`` and return it."""
         tensor.requires_grad = True
         self._parameters[name] = tensor
+        Module._registration_token = object()
         object.__setattr__(self, name, tensor)
         return tensor
 
@@ -66,8 +77,16 @@ class Module:
             yield from module.named_parameters(prefix=f"{prefix}{mod_name}.")
 
     def parameters(self) -> List[Tensor]:
-        """Return all parameters as a flat list."""
-        return [p for _, p in self.named_parameters()]
+        """Return all parameters as a flat list (a fresh list per call).
+
+        The recursive walk runs once per registration: the list is cached
+        until any module registers a parameter or a sub-module.
+        """
+        cached = self.__dict__.get("_flat_parameters")
+        if cached is None or cached[0] is not Module._registration_token:
+            cached = (Module._registration_token, [p for _, p in self.named_parameters()])
+            object.__setattr__(self, "_flat_parameters", cached)
+        return list(cached[1])
 
     def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
         """Yield ``(qualified_name, module)`` pairs, including ``self``."""

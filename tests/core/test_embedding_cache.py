@@ -1,24 +1,27 @@
 """LRU eviction: the tuner's embedding cache, its compiled programs, and the
-builder's bounded state of never-seen regions.
+builder's bounded memo of never-seen structures.
 
 The tuner holds two weight-derived caches: the pooled-embedding LRU (keyed
-by region id, content fingerprint and dtype) and the compiled programs, one
-per serving dtype (``_programs``).  They have different lifecycles —
-evicting an embedding must never invalidate a program (which would force a
-full weight re-cast and lowering on the next sweep), while a weight change
+by graph structure and dtype) and the compiled programs, one per serving
+dtype (``_programs``).  They have different lifecycles — evicting an
+embedding must never invalidate a program (which would force a full weight
+re-cast and lowering on the next sweep), while a weight change
 (``fit``/``load_state_dict``) must clear both.
 
 Serving memory is bounded by the working set: the builder keeps at most
-``NOVEL_REGION_CACHE_SIZE`` never-seen regions, a sweep keeps no batch (nor
-its arena) past its return, and an evicted region answers exactly as before.
+``NOVEL_REGION_CACHE_SIZE`` never-seen structures and registers no region in
+the measurement database, a sweep keeps no batch (nor its arena) past its
+return, and an evicted region answers exactly as before.
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.core.dataset as dataset
+from repro.benchsuite.registry import all_regions
 from repro.core.dataset import DatasetBuilder, TuningScenario
 from repro.core.measurements import MeasurementDatabase
 from repro.core.model import ModelConfig
@@ -28,6 +31,7 @@ from repro.core.tuner import PnPTuner
 from repro.distill import perturb_region
 from repro.hw.machine import Machine
 from repro.utils.caching import LRUCache
+from repro.utils.rng import new_rng
 
 CAPS = [45.0, 65.0]
 
@@ -77,7 +81,7 @@ class TestEvictionProgramInterplay:
         # embedding of `first` has been evicted.
         for region in regions[:3]:
             tuner.predict_sweep(region, CAPS)
-        assert (first.region_id, first.fingerprint(), "float32") not in tuner._embedding_cache
+        assert tuner._embedding_key(first, program) not in tuner._embedding_cache
         # The float32 program must survive the eviction and be reused as-is.
         assert tuner._programs["float32"] is program
         swept = tuner.predict_sweep(first, CAPS, dtype="float32")
@@ -106,8 +110,8 @@ class TestEvictionProgramInterplay:
         tuner._embedding_cache = LRUCache(maxsize=1)
         region_a = small_regions_by_app["gemm"][0]
         region_b = small_regions_by_app["atax"][0]
-        key = (region_a.region_id, region_a.fingerprint(), "float64")
         tuner.predict_sweep(region_a, CAPS)
+        key = tuner._embedding_key(region_a, tuner._programs["float64"])
         first = tuner._embedding_cache.get(key).copy()
         tuner.predict_sweep(region_b, CAPS)  # evicts region_a
         assert key not in tuner._embedding_cache
@@ -240,8 +244,102 @@ class TestBoundedNovelState:
             first = novel_tuner.predict_sweep_many([region], CAPS, dtype=dtype)
             novel_tuner.predict_sweep_many(others, CAPS, dtype=dtype)
             # Evicted from both caches: the next query rebuilds everything.
-            assert region.region_id not in builder._novel_state
-            embedded = novel_tuner._embedding_cache._entries
-            assert all(key[0] != region.region_id for key in embedded)
+            assert builder.structure_key(region) not in builder._novel_samples
+            program = novel_tuner._programs[dtype]
+            key = novel_tuner._embedding_key(region, program)
+            assert key not in novel_tuner._embedding_cache
             again = novel_tuner.predict_sweep_many([region], CAPS, dtype=dtype)
             assert pickle.dumps(again) == pickle.dumps(first)
+
+
+def _same_structure_twin(builder, region):
+    """A never-registered region with ``region``'s structure key, another
+    id and a 64x working set: the same graph, other PAPI counters."""
+    key = builder.structure_key(region)
+    return next(
+        twin
+        for twin in (
+            replace(
+                region,
+                region_id=f"{region.region_id}~twin{k}",
+                working_set_bytes=region.working_set_bytes * 64,
+            )
+            for k in range(64)
+        )
+        if builder.structure_key(twin) == key
+    )
+
+
+class TestStructureMemo:
+    def test_memo_hit_on_unregistered_region_answers_like_a_fresh_tuner(
+        self, novel_tuner
+    ):
+        builder = novel_tuner.builder
+        (region,) = _novel_regions(builder.regions(), 1, first_index=400)
+        twin = _same_structure_twin(builder, region)
+        novel_tuner.predict_sweep_many([region], CAPS)
+        cache = novel_tuner._embedding_cache
+        hits, samples = cache.hits, len(builder._novel_samples)
+        served = novel_tuner.predict_sweep_many([twin], CAPS)
+        # Answered from the cached embedding: no graph built, no encode.
+        assert cache.hits == hits + 1
+        assert len(builder._novel_samples) == samples
+        assert twin.region_id not in novel_tuner.database.region_ids
+        fresh = PnPTuner(
+            system="haswell",
+            objective="time",
+            include_counters=novel_tuner.include_counters,
+            model_config=novel_tuner.model_config,
+            database=novel_tuner.database,
+            seed=0,
+        )
+        fresh.builder = DatasetBuilder(
+            novel_tuner.database, regions_by_app=builder.regions_by_app, seed=0
+        )
+        fresh.load_state_dict(novel_tuner.state_dict())
+        expected = fresh.predict_sweep_many([twin], CAPS)
+        assert pickle.dumps(served) == pickle.dumps(expected)
+
+    def test_novel_stream_registers_no_region(self):
+        """A 120-call ``tune_novel``-style stream leaves the database holding
+        exactly the suite's 68 regions."""
+        suite = all_regions()
+        database = MeasurementDatabase(
+            Machine.named("haswell", seed=0), SearchSpace("haswell"), suite
+        )
+        builder = DatasetBuilder(database, seed=0)
+        config = ModelConfig(
+            vocabulary_size=len(builder.vocabulary),
+            num_classes=database.search_space.num_omp_configurations,
+            aux_dim=1,
+            embedding_dim=8,
+            hidden_dim=8,
+            dense_hidden_dim=16,
+            num_rgcn_layers=1,
+            seed=0,
+        )
+        tuner = PnPTuner(
+            system="haswell",
+            objective="time",
+            model_config=config,
+            training_config=TrainingConfig(epochs=1, seed=0),
+            database=database,
+            seed=0,
+        )
+        tuner.builder = builder
+        # Labels for one application only: training cost is beside the point.
+        gemm = DatasetBuilder(
+            database, regions_by_app={"gemm": builder.regions_by_app["gemm"]}, seed=0
+        )
+        tuner.fit(gemm.performance_samples())
+        caps = list(database.search_space.power_caps)
+        rng = new_rng(0, "tune_novel-style stream")
+        for call in range(120):
+            batch = [
+                perturb_region(suite[rng.integers(len(suite))], rng, index=call * 16 + i)
+                for i in range(16)
+            ]
+            tuner.predict_sweep_many(batch, caps)
+        assert len(database.region_ids) == 68
+        assert set(database.region_ids) == {region.region_id for region in suite}
+        assert len(builder._novel_samples) <= dataset.NOVEL_REGION_CACHE_SIZE

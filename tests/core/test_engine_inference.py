@@ -24,6 +24,7 @@ from repro.nn import _scatter
 from repro.nn.data import GraphDataLoader, collate_graphs
 from repro.nn.inference import InferenceProgram
 from repro.nn.layers import Module
+from repro.nn.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +200,7 @@ class TestPredictSweep:
 
 class TestInferenceProgramRouting:
     """Serving goes through cached compiled programs, invalidated with the
-    weights; the point-predict warm path reuses the fingerprint-keyed
+    weights; the point-predict warm path reuses the structure-keyed
     embedding cache without rebuilding inference samples."""
 
     def _edp_tuner(self, small_database, small_builder, seed=0):
@@ -258,7 +259,7 @@ class TestInferenceProgramRouting:
         assert fitted_time_tuner._programs["float64"] is not stale
         assert "float32" not in fitted_time_tuner._programs
         assert list(fitted_time_tuner._embedding_cache._entries) == [
-            (region.region_id, region.fingerprint(), "float64")
+            fitted_time_tuner._embedding_key(region, fitted_time_tuner._programs["float64"])
         ]
         assert [r.label for r in again] == [r.label for r in swept]
         fitted_time_tuner._embedding_cache.clear()
@@ -315,7 +316,7 @@ class TestInferenceProgramRouting:
         finally:
             tuner.builder.inference_sample = original
         assert calls == [1]
-        # Restore the session-scoped builder/database registration.
+        # Restore the session-scoped builder's graph of the suite region.
         tuner.builder.inference_sample(region, power_cap=60.0)
 
     @pytest.mark.parametrize("rebind", ["load_state_dict", "astype", "train_model"])
@@ -345,6 +346,38 @@ class TestInferenceProgramRouting:
         expected = reference.predict_sweep_many(regions, caps)
         assert pickle.dumps(served) == pickle.dumps(expected)
 
+    @pytest.mark.parametrize(
+        "change", ["rebind_param_data", "load_state_dict", "register_parameter"]
+    )
+    def test_weight_change_after_a_predict_flushes_the_serving_caches(
+        self, fitted_time_tuner, small_regions_by_app, change
+    ):
+        tuner = _tuner_loaded_with(fitted_time_tuner, fitted_time_tuner.state_dict())
+        region, other = small_regions_by_app["gemm"][0], small_regions_by_app["atax"][0]
+        caps = [40.0, 60.0, 85.0]
+        tuner.predict_sweep(region, caps)
+        tuner.predict_sweep(other, caps)
+        program = tuner.compile_inference()
+        assert len(tuner._embedding_cache) == 2
+        model = tuner.model
+        if change == "rebind_param_data":
+            param = model.parameters()[-1]
+            param.data = param.data * 2.0
+        elif change == "load_state_dict":
+            model.load_state_dict(PnPModel(replace(model.config, seed=1)).state_dict())
+        else:
+            model.gnn.convs[0].register_parameter("probe", Tensor(np.zeros(1)))
+        served = tuner.predict_sweep(region, caps)
+        assert tuner.compile_inference() is not program
+        assert len(tuner._embedding_cache) == 1  # flushed, then this query
+        if change == "register_parameter":  # serving weights unchanged
+            expected = fitted_time_tuner.predict_sweep(region, caps)
+        else:
+            expected = _tuner_loaded_with(tuner, model.state_dict()).predict_sweep(
+                region, caps
+            )
+        assert pickle.dumps(served) == pickle.dumps(expected)
+
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_warm_sweep_walks_the_parameters_once(
         self, fitted_time_tuner, small_regions_by_app, monkeypatch, dtype
@@ -363,22 +396,33 @@ class TestInferenceProgramRouting:
         # The tuner's identity check is the only walk of a warm call.
         assert walked == [fitted_time_tuner.model]
 
-    def test_counters_predict_rebuilds_sample_on_warm_cache(
+    def test_counters_predict_profiles_the_queried_region_on_warm_cache(
         self, small_database, small_builder
     ):
         """The dynamic (counters) variant must not pair a cached embedding
-        with counters profiled for a different registration of the id."""
-        tuner = PnPTuner(
-            system="haswell",
-            objective="edp",
-            include_counters=True,
-            training_config=TrainingConfig(epochs=1, optimizer="adam", seed=5),
-            database=small_database,
-            seed=5,
-        )
-        tuner.builder = small_builder
-        tuner.fit(tuner.build_training_samples())
+        with counters profiled for another region of the same structure, or
+        for a different registration of the id."""
+        def counters_tuner():
+            tuner = PnPTuner(
+                system="haswell",
+                objective="edp",
+                include_counters=True,
+                training_config=TrainingConfig(epochs=1, optimizer="adam", seed=5),
+                database=small_database,
+                seed=5,
+            )
+            tuner.builder = small_builder
+            return tuner
+
+        tuner = counters_tuner().fit()
         region = small_builder.regions()[0]
+        # Same id and graph structure, never registered, other counters.
+        twin = replace(region, working_set_bytes=region.working_set_bytes * 64)
+        assert small_builder.structure_key(twin) == small_builder.structure_key(region)
+        assert not np.array_equal(
+            small_builder.performance_counters(twin),
+            small_builder.performance_counters(region),
+        )
         cold = tuner.predict(region)
         calls = []
         original = tuner.builder.inference_sample
@@ -390,12 +434,15 @@ class TestInferenceProgramRouting:
         tuner.builder.inference_sample = counting
         try:
             warm = tuner.predict(region)
+            warm_twin = tuner.predict(twin)
         finally:
             tuner.builder.inference_sample = original
-        # Warm in the embedding cache, but the sample (and its counters) is
-        # rebuilt so the aux row always matches this region version.
-        assert calls == [1]
+        # Both answer from the cached embedding, each with its own counters.
+        assert calls == []
         assert warm == cold
+        fresh = counters_tuner()
+        fresh.load_state_dict(tuner.state_dict())
+        assert pickle.dumps(warm_twin) == pickle.dumps(fresh.predict(twin))
 
     def test_experiment_labels_run_the_program(
         self, fitted_time_tuner, perf_samples, monkeypatch
@@ -589,7 +636,7 @@ class TestPrecisionKnobs:
         program32 = fitted_time_tuner._programs["float32"]
         assert program32.dtype == np.float32
         cached = fitted_time_tuner._embedding_cache.get(
-            (region.region_id, region.fingerprint(), "float32")
+            fitted_time_tuner._embedding_key(region, program32)
         )
         assert cached is not None and cached.dtype == np.float32
         # ...from arrays that are the fitted float64 weights rounded once.
@@ -601,7 +648,7 @@ class TestPrecisionKnobs:
             assert array.tobytes() == weight.astype(np.float32).tobytes()
         # Label disagreements can only come from near-ties; logits must agree.
         pooled64 = fitted_time_tuner._embedding_cache.get(
-            (region.region_id, region.fingerprint(), "float64")
+            fitted_time_tuner._embedding_key(region, fitted_time_tuner._programs["float64"])
         )
         np.testing.assert_allclose(
             cached, pooled64.astype(np.float32), rtol=1e-4, atol=1e-4

@@ -4,9 +4,9 @@ The contract under test: batching R regions through one collated encoder
 pass and one dense-head product returns exactly the results of R serial
 ``predict_sweep`` calls — byte-identical at float64 and float32 — while
 running the GNN once, filling the same embedding cache, and reusing warm
-entries.  Also covers the (region id, content fingerprint, dtype) cache
-keys: a region resubmitted under a known id with changed characteristics
-must re-encode instead of serving the stale embedding.
+entries.  Also covers the (structure key, dtype) cache keys: a region
+resubmitted under a known id with a changed structure must re-encode
+instead of serving the stale embedding.
 """
 
 import contextlib
@@ -138,9 +138,11 @@ class TestBatchedEquivalence:
         batched = fleet_tuner.predict_sweep_many(
             suite_regions[:4], CAPS, dtype="float32"
         )
+        program = fleet_tuner._programs["float32"]
         for region, swept in zip(suite_regions[:4], batched):
-            key = (region.region_id, region.fingerprint(), "float32")
-            cached = fleet_tuner._embedding_cache.get(key)
+            cached = fleet_tuner._embedding_cache.get(
+                fleet_tuner._embedding_key(region, program)
+            )
             assert cached is not None and cached.dtype == np.float32
             assert [r.power_cap for r in swept] == CAPS
 
@@ -186,13 +188,14 @@ class TestFingerprintedCache:
         # The stale embedding must NOT be served: the modified region
         # re-encodes and both variants coexist under distinct keys.
         assert calls == [1]
-        old_key = (region.region_id, region.fingerprint(), "float64")
-        new_key = (region.region_id, modified.fingerprint(), "float64")
+        program = fleet_tuner._programs["float64"]
+        old_key = fleet_tuner._embedding_key(region, program)
+        new_key = fleet_tuner._embedding_key(modified, program)
         old_row = fleet_tuner._embedding_cache.get(old_key)
         new_row = fleet_tuner._embedding_cache.get(new_key)
         assert old_row is not None and new_row is not None
         assert not (old_row == new_row).all()
-        # Restore the session-scoped builder/database to the suite region.
+        # Restore the session-scoped builder's graph of the suite region.
         fleet_tuner.builder.inference_sample(region, power_cap=60.0)
 
     def test_builder_rebuilds_graph_for_changed_region(self, fleet_tuner, suite_regions):
@@ -203,9 +206,9 @@ class TestFingerprintedCache:
         sample = builder.inference_sample(modified, power_cap=60.0)
         rebuilt = builder.region_graphs()[region.region_id]
         assert rebuilt is not original_graph
-        assert builder._suite_state[region.region_id].fingerprint == modified.fingerprint()
-        # The database registration follows the new characteristics.
-        assert builder.database.region(region.region_id) == modified
+        assert builder._suite_state[region.region_id].key == builder.structure_key(modified)
+        # Inference leaves the database registration as it was.
+        assert builder.database.region(region.region_id) == region
         assert sample.sample.region_id == region.region_id
         # Re-submitting the same characteristics reuses the rebuilt graph.
         again = builder.inference_sample(modified, power_cap=60.0)
@@ -213,7 +216,7 @@ class TestFingerprintedCache:
         assert (again.sample.token_ids == sample.sample.token_ids).all()
         # Restore the session-scoped builder for the remaining tests.
         builder.inference_sample(region, power_cap=60.0)
-        assert builder._suite_state[region.region_id].fingerprint == region.fingerprint()
+        assert builder._suite_state[region.region_id].key == builder.structure_key(region)
         assert builder.database.region(region.region_id) == region
 
     def test_reregistration_drops_stale_measurements(self, fleet_tuner, suite_regions):

@@ -27,6 +27,37 @@ class TestModuleSystem:
         assert set(names) == {"fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"}
         assert net.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
 
+    def test_parameters_is_a_fresh_list_each_call(self):
+        net = Sequential(Linear(3, 5, rng=_rng()), ReLU(), Linear(5, 2, rng=_rng()))
+        first = net.parameters()
+        first.clear()
+        assert net.parameters() is not net.parameters()
+        assert [id(p) for p in net.parameters()] == [id(p) for _, p in net.named_parameters()]
+        assert len(net.parameters()) == 4
+
+    def test_parameters_follow_registrations_anywhere_in_the_tree(self):
+        class Net(Module):
+            def __init__(self):
+                super().__init__()
+                self.fc1 = Linear(4, 8, rng=_rng())
+                self.block = ModuleList([Linear(8, 8, rng=_rng())])
+
+        net = Net()
+        walked = [name for name, _ in net.named_parameters()]
+        assert len(net.parameters()) == len(walked)  # cached from here on
+        # A sub-sub-module registers a parameter, a sub-module gets an
+        # attribute parameter, and the root gets a new sub-module: the
+        # root's cached list follows each.
+        net.block[0].register_parameter("scale", Tensor(np.ones(8)))
+        net.fc1.shift = Tensor(np.zeros(8), requires_grad=True)
+        net.fc2 = Linear(8, 2, rng=_rng())
+        expected = [p for _, p in net.named_parameters()]
+        assert len(expected) == len(walked) + 4
+        assert [id(p) for p in net.parameters()] == [id(p) for p in expected]
+        assert [id(p) for p in net.block.parameters()] == [
+            id(p) for _, p in net.block.named_parameters()
+        ]
+
     def test_state_dict_roundtrip(self):
         net = Sequential(Linear(3, 5, rng=_rng()), ReLU(), Linear(5, 2, rng=_rng()))
         state = net.state_dict()
