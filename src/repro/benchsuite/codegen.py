@@ -94,10 +94,12 @@ def structure_key(region: RegionCharacteristics, seed: int = 0) -> Tuple:
 
     The key is the generator's complete input: the structural counts of
     :func:`scaled_region_counts` and whether the function ends in a barrier.
-    Nothing else of ``region`` reaches the code graph (its id and
-    application only name the function), so regions with equal keys at one
-    ``seed`` lower to graphs with identical tokens, node kinds and edges,
-    and share one GNN embedding.  It is computed without building the IR.
+    Nothing else of ``region`` reaches the code graph (its application and
+    id name the function, and the id seeds the barrier draw), so regions
+    with equal keys at one ``seed`` lower to graphs with identical tokens,
+    node kinds and edges, and share one GNN embedding.  It is computed
+    without building the IR: the count values in order, then the barrier
+    flag.
 
     The trip count is the one count the graph does not show exactly.  Equal
     literals share a constant node, so a trip of at most
